@@ -13,13 +13,12 @@ from tds_qaoa import (
     is_total_dominating_set,
     minimum_ds_bruteforce,
     minimum_tds_bruteforce,
-    neighbors,
 )
 
 g = builtin_instance()
 print(f"benchmark graph: {g.n_vertices} vertices, {g.n_edges} edges")
 for v in range(g.n_vertices):
-    print(f"  N({v}) = {sorted(neighbors(g, v))}")
+    print(f"  N({v}) = {sorted(g.neighbors(v))}")
 
 print("\n{2, 5} dominates every outside vertex:", is_dominating_set(g, {2, 5}))
 print("{2, 5} is total (2 and 5 also covered)?", is_total_dominating_set(g, {2, 5}))

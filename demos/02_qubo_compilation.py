@@ -6,7 +6,9 @@ more, a slack integer S in [0, |N(i)|-1] is binary-encoded over fresh
 variables so the inequality becomes a squared equality.
 """
 
-from tds_qaoa import builtin_instance, compile_tdp_qubo, qubo_min_bruteforce, slack_coefficients
+from tds_qaoa import (
+    build_energy_table, builtin_instance, compile_tdp_qubo, index_to_bits, slack_coefficients,
+)
 
 for n in (3, 4, 5, 9):
     coeffs = slack_coefficients(n)
@@ -31,10 +33,11 @@ tds = [int(c) for c in "1000110000"]
 print(f"\nvalue at all-zeros: {model.evaluate(zeros)} (= 6P)")
 print(f"value at 1000110000 (vertices {{0,4,5}}): {model.evaluate(tds)}")
 
-best, argmins = qubo_min_bruteforce(model)
-print(f"\nexhaustive minimum over 2^{model.n_vars} assignments: {best}")
+table = build_energy_table(model)
+argmins = [index_to_bits(k, model.n_vars) for k in table.argmin_indices()]
+print(f"\nexhaustive minimum over 2^{model.n_vars} assignments: {table.minimum()}")
 print(f"{len(argmins)} optimal assignments; distinct vertex projections:")
-for proj in sorted({tuple(i for i in range(6) if x[i]) for x in argmins}):
+for proj in sorted({tuple(i for i in range(6) if x[i] == "1") for x in argmins}):
     print(f"  {proj}")
 
 print("\nJSON form (first 200 chars):")

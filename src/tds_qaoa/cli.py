@@ -2,7 +2,7 @@
 
 Subcommands: compile, bound, oracle, run, sweep, trace. Exit codes: 0 on
 success, 1 on usage errors, 2 when the instance is infeasible (isolated
-vertex, no TDS exists), 3 on internal errors.
+vertex, no TDS exists), 3 on internal errors and when any sweep cell failed.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def _run_config_from_args(args) -> RunConfig:
 
 
 def _cmd_compile(args) -> int:
-    g = load_graph(args.graph)
-    penalty = args.P if args.P is not None else (args.p_mult or 1.5) * g.n_vertices
-    model = compile_tdp_qubo(g, penalty)
+    config = RunConfig(graph_source=args.graph, penalty=args.P, penalty_multiplier=args.p_mult)
+    g = load_graph(config.graph_source)
+    model = compile_tdp_qubo(g, config.resolve_penalty(g))
     text = model.to_json(indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -220,6 +220,9 @@ def _cmd_sweep(args) -> int:
         gamma_scale=args.gamma_scale,
         beta_scale=args.beta_scale,
     )
+    # A bad file or an infeasible graph fails the whole sweep with run's exit
+    # code instead of one error row per cell.
+    compile_tdp_qubo(load_graph(base.graph_source))
     result = run_sweep(
         base,
         layer_values=tuple(args.q_list),
@@ -234,7 +237,11 @@ def _cmd_sweep(args) -> int:
     print(f"cells: {result.n_cells}")
     print(f"cells with z_star a TDS: {result.n_cells_tds}")
     print(f"cells with z_star a minimal TDS: {result.n_cells_min_tds}")
-    return EXIT_OK
+    errors = [row["error"] for row in result.rows if row["error"]]
+    print(f"cells failed: {len(errors)}")
+    if errors:
+        print(f"error: first failed cell: {errors[0]}", file=sys.stderr)
+    return EXIT_INTERNAL if errors else EXIT_OK
 
 
 _COMMANDS = {

@@ -4,13 +4,18 @@ A dominating set D covers every vertex outside D through at least one edge.
 A *total* dominating set additionally requires every vertex of D itself to
 have a neighbor in D, i.e. every vertex of the graph must see D through its
 open neighborhood N(i) (which excludes i).
+
+The exact oracles tabulate all 2^n vertex subsets at once (SubsetTable).
+Subset k contains vertex i iff bit n-1-i of k is set: vertex 0 is the most
+significant bit, the convention of the energy table and of bit strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
+
+import numpy as np
 
 
 class InfeasibleGraphError(ValueError):
@@ -25,7 +30,7 @@ class Graph:
     construction and safe to share across threads.
     """
 
-    __slots__ = ("n_vertices", "edges", "_adjacency", "_neighbor_masks")
+    __slots__ = ("n_vertices", "edges", "_adjacency")
 
     def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]]):
         if n_vertices < 0:
@@ -50,10 +55,6 @@ class Graph:
             adjacency[u].add(v)
             adjacency[v].add(u)
         self._adjacency = tuple(frozenset(s) for s in adjacency)
-        # Bitmask of N(i) per vertex, used by the exhaustive oracles.
-        self._neighbor_masks = tuple(
-            sum(1 << j for j in nbrs) for nbrs in self._adjacency
-        )
 
     @property
     def n_edges(self) -> int:
@@ -103,11 +104,6 @@ class DegreePartition:
     v_ge3: tuple[int, ...]
 
 
-def neighbors(g: Graph, v: int) -> frozenset[int]:
-    """Open neighborhood N(v) of vertex v (excludes v)."""
-    return g.neighbors(v)
-
-
 def is_total_dominating_set(g: Graph, d: Iterable[int]) -> bool:
     """True iff every vertex of the graph has at least one neighbor in d.
 
@@ -127,24 +123,58 @@ def is_dominating_set(g: Graph, d: Iterable[int]) -> bool:
 _BRUTEFORCE_LIMIT = 24
 
 
-def _min_sets_bruteforce(g: Graph, valid_mask) -> tuple[int, list[frozenset[int]]]:
-    """Smallest cardinality passing valid_mask, plus all sets of that size.
+@dataclass(frozen=True)
+class SubsetTable:
+    """Validity flag and size of every vertex subset of one graph, MSB first."""
 
-    Subsets are enumerated as bitmasks in increasing popcount order with an
-    early exit at the first cardinality containing a valid set.
+    n_vertices: int
+    valid: np.ndarray
+    sizes: np.ndarray
+
+    def minimum_size(self) -> int:
+        if not self.valid.any():
+            raise InfeasibleGraphError("no TDS exists: graph has an isolated vertex")
+        return int(self.sizes[self.valid].min())
+
+    def optimal(self) -> np.ndarray:
+        """Boolean mask of the valid subsets of minimum size."""
+        return self.valid & (self.sizes == self.minimum_size())
+
+
+def subset_table(g: Graph, closed: bool = False) -> SubsetTable:
+    """Tabulate all 2^n vertex subsets (n <= 24): valid or not, and size.
+
+    Valid means a TDS: the subset meets the open neighborhood N(i) of every
+    vertex i. With closed=True it means a DS: it meets every N(i) + {i}.
     """
     n = g.n_vertices
     if n > _BRUTEFORCE_LIMIT:
         raise ValueError(f"exhaustive search limited to {_BRUTEFORCE_LIMIT} vertices, got {n}")
-    for k in range(n + 1):
-        hits = [
-            frozenset(combo)
-            for combo in combinations(range(n), k)
-            if valid_mask(sum(1 << v for v in combo))
-        ]
-        if hits:
-            return k, hits
-    raise InfeasibleGraphError("no valid set exists")
+    index = np.arange(1 << n, dtype=np.int32)
+    valid = np.ones(1 << n, dtype=bool)
+    for i in range(n):
+        required = sum(1 << (n - 1 - j) for j in g.neighbors(i))
+        if closed:
+            required |= 1 << (n - 1 - i)
+        valid &= (index & required) != 0
+    # Popcounts: appending a bit keeps the sizes below it and adds 1 above.
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        sizes = np.concatenate((sizes, sizes + 1))
+    return SubsetTable(n, valid, sizes)
+
+
+def _optimal_sets(table: SubsetTable) -> tuple[int, list[frozenset[int]]]:
+    """Minimum size and all optimal sets, ordered as itertools.combinations.
+
+    Among subsets of one size, descending index is that order.
+    """
+    n = table.n_vertices
+    size = table.minimum_size()
+    return size, [
+        frozenset(i for i in range(n) if (k >> (n - 1 - i)) & 1)
+        for k in np.flatnonzero(table.optimal())[::-1]
+    ]
 
 
 def minimum_tds_bruteforce(g: Graph) -> tuple[int, list[frozenset[int]]]:
@@ -153,24 +183,12 @@ def minimum_tds_bruteforce(g: Graph) -> tuple[int, list[frozenset[int]]]:
     Exhaustive over all 2^n subsets (n <= 24). Raises InfeasibleGraphError
     if the graph has an isolated vertex, since no TDS exists then.
     """
-    if any(deg == 0 for deg in g.degrees()):
-        raise InfeasibleGraphError("no TDS exists: graph has an isolated vertex")
-    masks = g._neighbor_masks
-
-    def valid(dmask: int) -> bool:
-        return all(masks[i] & dmask for i in range(g.n_vertices))
-
-    return _min_sets_bruteforce(g, valid)
+    return _optimal_sets(subset_table(g))
 
 
 def minimum_ds_bruteforce(g: Graph) -> tuple[int, list[frozenset[int]]]:
     """Exact minimum dominating set size and all optimal sets (n <= 24)."""
-    masks = g._neighbor_masks
-
-    def valid(dmask: int) -> bool:
-        return all((dmask >> i) & 1 or masks[i] & dmask for i in range(g.n_vertices))
-
-    return _min_sets_bruteforce(g, valid)
+    return _optimal_sets(subset_table(g, closed=True))
 
 
 def degree_partition(g: Graph) -> DegreePartition:

@@ -19,15 +19,19 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import pathlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .graphs import Graph, is_total_dominating_set, load_graph, minimum_tds_bruteforce
-from .ising import build_energy_table
+from .graphs import Graph, load_graph, subset_table
+# perfbench/tracer.py wraps these two names where harness binds them.
+from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
+from .ising import bits_to_index, build_energy_table, index_to_bits
 from .optimize import (
     OptimizerConfig,
     OptimizationTrace,
@@ -43,6 +47,7 @@ DEFAULT_SHOTS = 100_000
 DEFAULT_SWEEP_LAYERS = (2, 5, 10, 20)
 DEFAULT_SWEEP_MULTIPLIERS = (0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 DEFAULT_SWEEP_MAXITERS = (50, 100, 200, 500)
+TOP_K = 10
 
 ROW_FIELDS = (
     "q", "P", "maxiter", "seed", "z_star", "is_tds", "is_min_tds",
@@ -76,6 +81,18 @@ class RunConfig:
             raise ValueError(f"layers_q must be positive, got {self.layers_q}")
         if self.penalty is not None and self.penalty_multiplier is not None:
             raise ValueError("give either penalty or penalty_multiplier, not both")
+        for name in ("penalty", "penalty_multiplier", "function_tolerance"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        for name in ("gamma_scale", "beta_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("max_iterations", "shots", "objective_shots"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def resolve_penalty(self, g: Graph) -> float:
         if self.penalty is not None:
@@ -84,20 +101,7 @@ class RunConfig:
         return float(multiplier) * g.n_vertices
 
     def to_dict(self) -> dict:
-        return {
-            "graph_source": self.graph_source,
-            "layers_q": self.layers_q,
-            "penalty": self.penalty,
-            "penalty_multiplier": self.penalty_multiplier,
-            "max_iterations": self.max_iterations,
-            "shots": self.shots,
-            "seed": self.seed,
-            "exact_metrics": self.exact_metrics,
-            "gamma_scale": self.gamma_scale,
-            "beta_scale": self.beta_scale,
-            "function_tolerance": self.function_tolerance,
-            "objective_shots": self.objective_shots,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,13 @@ class Metrics:
 
 @dataclass
 class RunResult:
-    """Everything produced by one run; see to_dict for the JSON view."""
+    """Everything produced by one run; see to_dict for the JSON view.
+
+    The vertex distributions are dense arrays indexed like bit strings
+    (vertex 0 is the most significant bit): exact_probabilities is the
+    normalized exact marginal, vertex_counts the sampled shots per vertex
+    string. The bit-string-keyed views are built from them on first use.
+    """
 
     config: RunConfig
     penalty: float
@@ -123,10 +133,27 @@ class RunResult:
     correct_probability: float
     optimal_probability: float
     top_k: list[tuple[str, float]]
-    exact_marginal: dict[str, float] = field(repr=False)
-    sampled_marginal: dict[str, float] = field(repr=False)
-    sampled_counts: dict[str, int] = field(repr=False)
+    exact_probabilities: np.ndarray = field(repr=False)
+    vertex_counts: np.ndarray = field(repr=False)
     runtime_ms: float = 0.0
+
+    @cached_property
+    def _bit_strings(self) -> list[str]:
+        n = len(self.exact_probabilities).bit_length() - 1
+        return [index_to_bits(k, n) for k in range(1 << n)]
+
+    @cached_property
+    def exact_marginal(self) -> dict[str, float]:
+        return dict(zip(self._bit_strings, self.exact_probabilities.tolist()))
+
+    @cached_property
+    def sampled_marginal(self) -> dict[str, float]:
+        return dict(zip(self._bit_strings, (self.vertex_counts / self.vertex_counts.sum()).tolist()))
+
+    @cached_property
+    def sampled_counts(self) -> dict[str, int]:
+        """Shot count per vertex string sampled at least once."""
+        return {bits: c for bits, c in zip(self._bit_strings, self.vertex_counts.tolist()) if c}
 
     def to_dict(self) -> dict:
         return {
@@ -155,42 +182,51 @@ class RunResult:
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["bits", "probability", "count"])
-        order = sorted(self.exact_marginal, key=lambda b: (-self.exact_marginal[b], b))
-        for bits in order:
-            writer.writerow([bits, repr(self.exact_marginal[bits]), self.sampled_counts.get(bits, 0)])
+        probs, counts = self.exact_probabilities.tolist(), self.vertex_counts.tolist()
+        for k in _descending(self.exact_probabilities):
+            writer.writerow([self._bit_strings[k], repr(probs[k]), counts[k]])
         return out.getvalue()
 
 
-def bitstring_to_vertex_set(bits: str) -> frozenset[int]:
-    """Leftmost character is vertex 0."""
-    return frozenset(i for i, ch in enumerate(bits) if ch == "1")
+def _descending(probs: np.ndarray) -> np.ndarray:
+    """Indices by descending probability; ties keep ascending bit strings."""
+    return np.argsort(-probs, kind="stable")
 
 
-def compute_metrics(dist: Mapping[str, float], g: Graph) -> Metrics:
-    """Score a normalized vertex-bitstring distribution against the oracles."""
-    total = sum(dist.values())
+def _vertex_probabilities(dist: np.ndarray | Mapping[str, float], n: int) -> np.ndarray:
+    if not isinstance(dist, Mapping):
+        probs = np.asarray(dist, dtype=np.float64)
+        if probs.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} vertex-subset probabilities, got shape {probs.shape}")
+        return probs
+    probs = np.zeros(1 << n)
+    for bits, p in dist.items():
+        if len(bits) != n or bits.strip("01"):
+            raise ValueError(f"expected a {n}-character 0/1 vertex string, got {bits!r}")
+        probs[bits_to_index(bits)] = p
+    return probs
+
+
+def compute_metrics(dist: np.ndarray | Mapping[str, float], g: Graph) -> Metrics:
+    """Score a normalized vertex distribution against the exact subset table.
+
+    dist is a dense array over the 2^|V| vertex subsets, indexed like bit
+    strings (vertex 0 is the most significant bit), or a map from |V|-character
+    bit strings to probability in which absent strings have probability 0.
+    """
+    probs = _vertex_probabilities(dist, g.n_vertices)
+    total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"distribution is not normalized: total mass {total}")
-    min_size, _ = minimum_tds_bruteforce(g)
-
-    correct = 0.0
-    optimal = 0.0
-    for bits, prob in dist.items():
-        vertex_set = bitstring_to_vertex_set(bits)
-        if is_total_dominating_set(g, vertex_set):
-            correct += prob
-            if len(vertex_set) == min_size:
-                optimal += prob
-
-    z_star = min(dist, key=lambda b: (-dist[b], b))
-    z_set = bitstring_to_vertex_set(z_star)
-    z_is_tds = is_total_dominating_set(g, z_set)
+    table = subset_table(g)
+    optimal = table.optimal()
+    z_star = int(np.argmax(probs))  # first index on ties: the smallest bit string
     return Metrics(
-        correct_probability=correct,
-        optimal_probability=optimal,
-        z_star=z_star,
-        z_star_is_tds=z_is_tds,
-        z_star_is_minimal_tds=z_is_tds and len(z_set) == min_size,
+        correct_probability=float(probs[table.valid].sum()),
+        optimal_probability=float(probs[optimal].sum()),
+        z_star=index_to_bits(z_star, g.n_vertices),
+        z_star_is_tds=bool(table.valid[z_star]),
+        z_star_is_minimal_tds=bool(optimal[z_star]),
     )
 
 
@@ -242,14 +278,13 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
     final_state = evolve(table, best_schedule)
 
     n_vertex = model.registry.n_vertex_vars
-    exact_marginal = marginalize_vertices(final_state.probabilities(), n_vertex)
-    counts = sample(final_state, config.shots, _child_seed(config.seed, 2))
-    sampled_marginal = marginalize_vertices(counts, n_vertex, n_qubits=model.n_vars)
-    sampled_counts = _marginal_counts(counts, n_vertex, model.n_vars)
-
-    active = exact_marginal if config.exact_metrics else sampled_marginal
-    metrics = compute_metrics(active, g)
-    top_k = sorted(active.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    probs = final_state.probabilities()
+    exact = marginalize_vertices(probs, n_vertex) / probs.sum()
+    shot_counts = sample(final_state, config.shots, _child_seed(config.seed, 2))
+    counts = marginalize_vertices(shot_counts, n_vertex)
+    scored = exact if config.exact_metrics else counts / counts.sum()
+    metrics = compute_metrics(scored, g)
+    top_k = [(index_to_bits(int(k), n_vertex), float(scored[k])) for k in _descending(scored)[:TOP_K]]
 
     return RunResult(
         config=config,
@@ -262,20 +297,10 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
         correct_probability=metrics.correct_probability,
         optimal_probability=metrics.optimal_probability,
         top_k=top_k,
-        exact_marginal=exact_marginal,
-        sampled_marginal=sampled_marginal,
-        sampled_counts=sampled_counts,
+        exact_probabilities=exact,
+        vertex_counts=counts,
         runtime_ms=(time.perf_counter() - start) * 1e3,
     )
-
-
-def _marginal_counts(counts: dict[int, int], n_vertex: int, n_qubits: int) -> dict[str, int]:
-    shift = n_qubits - n_vertex
-    out: dict[str, int] = {}
-    for k, c in counts.items():
-        bits = format(k >> shift, f"0{n_vertex}b")
-        out[bits] = out.get(bits, 0) + c
-    return out
 
 
 @dataclass

@@ -35,7 +35,7 @@ def index_to_bits(index: int, n_vars: int) -> str:
     """Bit string of length n_vars for a basis-state integer."""
     if not 0 <= index < (1 << n_vars):
         raise ValueError(f"index {index} out of range for {n_vars} variables")
-    return format(index, f"0{n_vars}b")
+    return format(index, f"0{n_vars}b") if n_vars else ""
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ significant bit, matching the energy-table convention).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .ising import EnergyTable, index_to_bits
+from .ising import EnergyTable
 
 MAX_QUBITS = 24
 
@@ -118,8 +117,8 @@ def expectation(state: StateVector, table: EnergyTable) -> float:
     return float(np.dot(state.probabilities(), table.energies))
 
 
-def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
-    """Multinomial measurement: basis-state index -> count, total = shots.
+def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:
+    """Multinomial measurement: dense count per basis state, total = shots.
 
     Deterministic for a fixed seed.
     """
@@ -127,47 +126,21 @@ def sample(state: StateVector, shots: int, seed: int) -> dict[int, int]:
         raise ValueError(f"shots must be positive, got {shots}")
     probs = state.probabilities()
     probs = probs / probs.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, probs)
-    return {int(k): int(counts[k]) for k in np.flatnonzero(counts)}
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
-def marginalize_vertices(
-    dist: Mapping[int, float] | np.ndarray,
-    n_vertex_vars: int,
-    n_qubits: int | None = None,
-) -> dict[str, float]:
-    """Aggregate slack bits out of a basis-state distribution.
+def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
+    """Sum slack bits out of a dense basis-state distribution.
 
-    dist maps basis-state index to probability or count (a dense array is
-    also accepted, in which case n_qubits is inferred). Returns a normalized
-    map from the n_vertex_vars-bit vertex prefix string to its total
-    probability. Vertex variables are the most significant bits, so each
-    prefix sums a contiguous block of slack completions.
+    dist holds a probability or count per basis state. Vertex variables are
+    the most significant bits, so entry v of the result sums the contiguous
+    block of slack completions of vertex prefix v. The sums keep dist's
+    dtype and are not normalized.
     """
-    if isinstance(dist, np.ndarray):
-        size = len(dist)
-        inferred = size.bit_length() - 1
-        if 1 << inferred != size:
-            raise ValueError(f"dense distribution length {size} is not a power of two")
-        if n_qubits is None:
-            n_qubits = inferred
-        elif n_qubits != inferred:
-            raise ValueError(f"n_qubits={n_qubits} inconsistent with array length {size}")
-        weights = np.asarray(dist, dtype=np.float64)
-    else:
-        if n_qubits is None:
-            raise ValueError("n_qubits is required when dist is a mapping")
-        weights = np.zeros(1 << n_qubits, dtype=np.float64)
-        for k, w in dist.items():
-            weights[k] = w
+    size = len(dist)
+    n_qubits = size.bit_length() - 1
+    if 1 << n_qubits != size:
+        raise ValueError(f"dense distribution length {size} is not a power of two")
     if not 0 <= n_vertex_vars <= n_qubits:
         raise ValueError(f"n_vertex_vars={n_vertex_vars} out of range for {n_qubits} qubits")
-
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("distribution has no mass")
-    marginal = weights.reshape(1 << n_vertex_vars, -1).sum(axis=1) / total
-    return {
-        index_to_bits(v, n_vertex_vars): float(marginal[v])
-        for v in range(1 << n_vertex_vars)
-    }
+    return np.asarray(dist).reshape(1 << n_vertex_vars, -1).sum(axis=1)

@@ -269,26 +269,3 @@ def qubit_counts(g: Graph) -> tuple[int, int, int]:
     )
     return q_tdp, q_dp, q_dp - q_tdp
 
-
-_MIN_BRUTEFORCE_LIMIT = 24
-
-
-def qubo_min_bruteforce(m: QuboModel) -> tuple[float, list[tuple[int, ...]]]:
-    """Exhaustive minimum over all 2^n_vars assignments, with all argmins.
-
-    Ground-truth oracle; assignments are returned as 0/1 tuples in variable
-    order.
-    """
-    if m.n_vars > _MIN_BRUTEFORCE_LIMIT:
-        raise ValueError(f"exhaustive scan limited to {_MIN_BRUTEFORCE_LIMIT} variables")
-    best = math.inf
-    argmins: list[tuple[int, ...]] = []
-    for k in range(1 << m.n_vars):
-        x = tuple((k >> (m.n_vars - 1 - i)) & 1 for i in range(m.n_vars))
-        value = m.evaluate(x)
-        if value < best:
-            best = value
-            argmins = [x]
-        elif value == best:
-            argmins.append(x)
-    return best, argmins

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 import numpy as np
 
-from tds_qaoa import Graph
+from tds_qaoa import Graph, InfeasibleGraphError, is_total_dominating_set
 
 # Minimum total dominating sets of the bundled 6-node benchmark graph.
 PAPER6_MIN_TDS = {
@@ -101,3 +104,78 @@ def all_assignments(n_vars: int):
     """All 0/1 tuples of length n_vars in basis-state index order."""
     for k in range(1 << n_vars):
         yield tuple((k >> (n_vars - 1 - i)) & 1 for i in range(n_vars))
+
+
+def min_sets_reference(g: Graph, closed: bool = False) -> tuple[int, list[frozenset[int]]]:
+    """Minimum TDS (DS when closed) size and all optimal sets, by itertools.
+
+    Subsets are enumerated as bitmasks (bit v is vertex v) in increasing
+    popcount order with an early exit at the first cardinality containing a
+    valid set. Independent of the package's subset table.
+    """
+    n = g.n_vertices
+    masks = [sum(1 << j for j in g.neighbors(i)) | (closed << i) for i in range(n)]
+
+    def valid(dmask: int) -> bool:
+        return all(masks[i] & dmask for i in range(n))
+
+    for k in range(n + 1):
+        hits = [
+            frozenset(combo)
+            for combo in combinations(range(n), k)
+            if valid(sum(1 << v for v in combo))
+        ]
+        if hits:
+            return k, hits
+    raise InfeasibleGraphError("no valid set exists")
+
+
+def metrics_reference(probs: np.ndarray, g: Graph) -> tuple[float, float, str, bool, bool]:
+    """(correct, optimal, z*, z* is TDS, z* is minimum TDS) by a per-string loop.
+
+    probs is a dense vertex distribution indexed MSB first; every string is
+    decoded to a frozenset and checked with is_total_dominating_set.
+    """
+    n = g.n_vertices
+    dist = {format(k, f"0{n}b") if n else "": float(p) for k, p in enumerate(probs)}
+    min_size, _ = min_sets_reference(g)
+
+    def decode(bits: str) -> frozenset[int]:
+        return frozenset(i for i, ch in enumerate(bits) if ch == "1")
+
+    correct = 0.0
+    optimal = 0.0
+    for bits, prob in dist.items():
+        vertex_set = decode(bits)
+        if is_total_dominating_set(g, vertex_set):
+            correct += prob
+            if len(vertex_set) == min_size:
+                optimal += prob
+    z_star = min(dist, key=lambda b: (-dist[b], b))
+    z_set = decode(z_star)
+    z_is_tds = is_total_dominating_set(g, z_set)
+    return correct, optimal, z_star, z_is_tds, z_is_tds and len(z_set) == min_size
+
+
+_MIN_BRUTEFORCE_LIMIT = 24
+
+
+def qubo_min_bruteforce(m) -> tuple[float, list[tuple[int, ...]]]:
+    """Exhaustive minimum over all 2^n_vars assignments, with all argmins.
+
+    Ground-truth oracle; assignments are returned as 0/1 tuples in variable
+    order.
+    """
+    if m.n_vars > _MIN_BRUTEFORCE_LIMIT:
+        raise ValueError(f"exhaustive scan limited to {_MIN_BRUTEFORCE_LIMIT} variables")
+    best = math.inf
+    argmins: list[tuple[int, ...]] = []
+    for k in range(1 << m.n_vars):
+        x = tuple((k >> (m.n_vars - 1 - i)) & 1 for i in range(m.n_vars))
+        value = m.evaluate(x)
+        if value < best:
+            best = value
+            argmins = [x]
+        elif value == best:
+            argmins.append(x)
+    return best, argmins

@@ -23,7 +23,6 @@ from tds_qaoa import (
     expectation,
     qubit_counts,
     qubit_upper_bound,
-    qubo_min_bruteforce,
     run_single,
     run_sweep,
 )
@@ -31,6 +30,7 @@ from support import (
     PAPER6_MIN_TDS,
     all_assignments,
     dense_evolve_oracle,
+    qubo_min_bruteforce,
     random_graph,
     random_graph_min_degree,
     reference_paper6_qubo,

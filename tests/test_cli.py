@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tds_qaoa.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, cli_entry
+from tds_qaoa.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, cli_entry
 
 
 @pytest.fixture
@@ -63,6 +63,10 @@ class TestCompile:
     def test_infeasible(self, isolated_graph):
         assert cli_entry(["compile", "--graph", isolated_graph]) == EXIT_INFEASIBLE
 
+    def test_zero_multiplier_rejected(self, capsys):
+        assert cli_entry(["compile", "--graph", "builtin:paper6", "--P-mult", "0"]) == EXIT_USAGE
+        assert "penalty_multiplier" in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_result_files(self, tmp_path, edge_graph, capsys):
@@ -89,6 +93,21 @@ class TestRun:
     def test_infeasible_instance(self, isolated_graph):
         assert cli_entry(["run", "--graph", isolated_graph, "--q", "1"]) == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--P", "nan", "penalty"),
+        ("--P", "-1", "penalty"),
+        ("--P-mult", "inf", "penalty_multiplier"),
+        ("--gamma-scale", "nan", "gamma_scale"),
+        ("--beta-scale", "inf", "beta_scale"),
+        ("--maxiter", "0", "max_iterations"),
+        ("--shots", "0", "shots"),
+        ("--objective-shots", "0", "objective_shots"),
+    ])
+    def test_invalid_config_rejected(self, edge_graph, capsys, flag, value, field):
+        code = cli_entry(["run", "--graph", edge_graph, "--q", "1", flag, value])
+        assert code == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
 
 class TestTrace:
     def test_stdout_csv(self, edge_graph, capsys):
@@ -111,9 +130,30 @@ class TestSweep:
             "--shots", "500", "--workers", "1", "--out", str(out),
         ])
         assert code == EXIT_OK
-        assert "cells: 2" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "cells: 2" in printed
+        assert "cells failed: 0" in printed
         rows = (out / "rows.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
+
+    def test_infeasible_graph(self, isolated_graph, capsys):
+        code = cli_entry(["sweep", "--graph", isolated_graph, "--q-list", "1",
+                          "--P-mult-list", "1.5", "--maxiter-list", "5"])
+        assert code == EXIT_INFEASIBLE
+        assert "cells:" not in capsys.readouterr().out
+
+    def test_missing_graph_file(self):
+        assert cli_entry(["sweep", "--graph", "/nonexistent/g.txt"]) == EXIT_USAGE
+
+    def test_failed_cells_exit_nonzero(self, edge_graph, capsys):
+        code = cli_entry([
+            "sweep", "--graph", edge_graph, "--q-list", "1",
+            "--P-mult-list", "0", "1.5", "--maxiter-list", "5", "--shots", "100",
+        ])
+        assert code == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert "cells failed: 1" in captured.out
+        assert "penalty" in captured.err
 
     def test_workers_env_fallback(self, edge_graph, capsys, monkeypatch):
         monkeypatch.setenv("TDS_QAOA_WORKERS", "1")

@@ -11,10 +11,9 @@ from tds_qaoa import (
     load_graph,
     minimum_ds_bruteforce,
     minimum_tds_bruteforce,
-    neighbors,
     parse_graph,
 )
-from support import PAPER6_MIN_TDS, random_graph
+from support import PAPER6_MIN_TDS, min_sets_reference, random_graph
 
 
 @pytest.fixture
@@ -46,17 +45,17 @@ class TestConstruction:
 
 class TestNeighbors:
     def test_paper6_vertex_2(self, paper6):
-        assert neighbors(paper6, 2) == {1, 3, 4}
+        assert paper6.neighbors(2) == {1, 3, 4}
 
     def test_paper6_vertex_0(self, paper6):
-        assert neighbors(paper6, 0) == {1, 5}
+        assert paper6.neighbors(0) == {1, 5}
 
     def test_single_vertex(self):
-        assert neighbors(Graph(1, []), 0) == set()
+        assert Graph(1, []).neighbors(0) == set()
 
     def test_out_of_range(self, paper6):
         with pytest.raises(ValueError):
-            neighbors(paper6, 6)
+            paper6.neighbors(6)
 
 
 class TestValidity:
@@ -117,6 +116,32 @@ class TestBruteforceOracles:
     def test_triangle_minimum_ds(self):
         size, _ = minimum_ds_bruteforce(Graph(3, [(0, 1), (1, 2), (0, 2)]))
         assert size == 1
+
+    @pytest.mark.parametrize(
+        "oracle, closed", [(minimum_tds_bruteforce, False), (minimum_ds_bruteforce, True)]
+    )
+    def test_matches_itertools_reference(self, oracle, closed):
+        rng = np.random.default_rng(17)
+        infeasible = 0
+        for _ in range(8):
+            for n in range(9):
+                g = random_graph(rng, n, edge_prob=float(rng.uniform(0.2, 0.8)))
+                try:
+                    expected = min_sets_reference(g, closed)
+                except InfeasibleGraphError:
+                    infeasible += 1
+                    with pytest.raises(InfeasibleGraphError):
+                        oracle(g)
+                    continue
+                size, sets = oracle(g)
+                assert size == expected[0]
+                assert sets == expected[1]
+        # isolated vertices occur at these densities: no TDS exists then, a DS always does
+        assert infeasible == 0 if closed else infeasible > 0
+
+    def test_too_many_vertices_rejected(self):
+        with pytest.raises(ValueError, match="limited"):
+            minimum_tds_bruteforce(Graph(25, [(i, i + 1) for i in range(24)]))
 
 
 class TestDegreePartition:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from tds_qaoa import (
@@ -14,12 +15,11 @@ from tds_qaoa import (
 )
 from tds_qaoa.harness import (
     ROW_FIELDS,
-    bitstring_to_vertex_set,
     derive_cell_seed,
     write_run_outputs,
     write_sweep_outputs,
 )
-from support import PAPER6_MIN_TDS
+from support import PAPER6_MIN_TDS, metrics_reference, random_graph
 
 
 @pytest.fixture
@@ -69,8 +69,37 @@ class TestComputeMetrics:
         with pytest.raises(ValueError, match="normalized"):
             compute_metrics({"100011": 0.5}, paper6)
 
-    def test_bitstring_decode_convention(self):
-        assert bitstring_to_vertex_set("100011") == {0, 4, 5}
+    def test_dense_array_input(self, paper6):
+        probs = np.zeros(64)
+        probs[0b100011] = 1.0
+        assert compute_metrics(probs, paper6) == compute_metrics({"100011": 1.0}, paper6)
+
+    @pytest.mark.parametrize("dist", [{"10001": 1.0}, {"1000110": 1.0}, {"10001x": 1.0}, np.ones(32) / 32])
+    def test_wrong_shape_rejected(self, paper6, dist):
+        with pytest.raises(ValueError, match="expected"):
+            compute_metrics(dist, paper6)
+
+    def test_infeasible_graph_raises(self):
+        with pytest.raises(InfeasibleGraphError):
+            compute_metrics({"111": 1.0}, Graph(3, [(0, 1)]))
+
+    def test_matches_per_string_reference(self):
+        rng = np.random.default_rng(19)
+        for rep in range(6):
+            for n in range(9):
+                g = random_graph(rng, n, edge_prob=0.6)
+                # odd reps draw few distinct values, so z* ties are common
+                probs = rng.integers(1, 4, 1 << n) if rep % 2 else rng.random(1 << n)
+                probs = probs / probs.sum()
+                if min(g.degrees(), default=1) == 0:
+                    with pytest.raises(InfeasibleGraphError):
+                        compute_metrics(probs, g)
+                    continue
+                met = compute_metrics(probs, g)
+                correct, optimal, z_star, z_tds, z_min = metrics_reference(probs, g)
+                assert (met.z_star, met.z_star_is_tds, met.z_star_is_minimal_tds) == (z_star, z_tds, z_min)
+                assert abs(met.correct_probability - correct) <= 1e-12
+                assert abs(met.optimal_probability - optimal) <= 1e-12
 
 
 class TestRunSingle:

@@ -10,10 +10,9 @@ from tds_qaoa import (
     builtin_instance,
     compile_tdp_qubo,
     index_to_bits,
-    qubo_min_bruteforce,
     qubo_to_spin,
 )
-from support import all_assignments
+from support import all_assignments, qubo_min_bruteforce
 
 
 def model(n_vars, constant=0.0, linear=None, quadratic=None):

@@ -14,12 +14,12 @@ from tds_qaoa import (
     is_total_dominating_set,
     qubit_counts,
     qubit_upper_bound,
-    qubo_min_bruteforce,
     slack_coefficients,
 )
 from support import (
     PAPER6_MIN_TDS,
     all_assignments,
+    qubo_min_bruteforce,
     random_graph,
     random_graph_min_degree,
     reference_paper6_qubo,
