@@ -120,7 +120,9 @@ def is_dominating_set(g: Graph, d: Iterable[int]) -> bool:
     return all(i in dset or g._adjacency[i] & dset for i in range(g.n_vertices))
 
 
-_BRUTEFORCE_LIMIT = 24
+# Largest n for which the package builds a 2^n array: a subset table over n
+# vertices, an energy table over n variables or a statevector of n qubits.
+MAX_TABLE_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,8 @@ def subset_table(g: Graph, closed: bool = False) -> SubsetTable:
     vertex i. With closed=True it means a DS: it meets every N(i) + {i}.
     """
     n = g.n_vertices
-    if n > _BRUTEFORCE_LIMIT:
-        raise ValueError(f"exhaustive search limited to {_BRUTEFORCE_LIMIT} vertices, got {n}")
+    if n > MAX_TABLE_BITS:
+        raise ValueError(f"exhaustive search limited to {MAX_TABLE_BITS} vertices, got {n}")
     index = np.arange(1 << n, dtype=np.int32)
     valid = np.ones(1 << n, dtype=bool)
     for i in range(n):

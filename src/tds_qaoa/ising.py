@@ -14,13 +14,13 @@ sum_i x_i * 2^(n-1-i), i.e. variable 0 is the most significant bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .graphs import MAX_TABLE_BITS
 from .qubo import QuboModel
-
-MAX_TABLE_VARS = 24
 
 
 def bits_to_index(bits: str | Sequence[int]) -> int:
@@ -92,12 +92,24 @@ class EnergyTable:
     def argmin_indices(self) -> list[int]:
         return [int(k) for k in np.flatnonzero(self.energies == self.energies.min())]
 
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct energies, sorted, and the index of each entry's energy among them.
+
+        levels[inverse] == energies. Computed once per table; both arrays are
+        read-only.
+        """
+        levels, inverse = np.unique(self.energies, return_inverse=True)
+        levels.setflags(write=False)
+        inverse.setflags(write=False)
+        return levels, inverse
+
 
 def build_energy_table(m: QuboModel) -> EnergyTable:
     """Materialize the diagonal Hamiltonian: energies[k] = model value at bits(k)."""
     n = m.n_vars
-    if n > MAX_TABLE_VARS:
-        raise ValueError(f"energy table limited to {MAX_TABLE_VARS} variables, got {n}")
+    if n > MAX_TABLE_BITS:
+        raise ValueError(f"energy table limited to {MAX_TABLE_BITS} variables, got {n}")
     size = 1 << n
     index = np.arange(size, dtype=np.int64)
 

@@ -6,7 +6,7 @@ transverse-field mixer exp(-i * beta * sum_j X_j). Because H_c is diagonal,
 the cost layer is a per-basis-state phase multiply from the energy table;
 the mixer factorizes into independent single-qubit X rotations
 
-    exp(-i beta X) = [[cos b, -i sin b], [-i sin b, cos b]].
+    U(beta) = exp(-i beta X) = [[cos b, -i sin b], [-i sin b, cos b]].
 
 Qubit j is the j-th axis of the amplitude tensor (variable 0 = most
 significant bit, matching the energy-table convention).
@@ -14,13 +14,19 @@ significant bit, matching the energy-table convention).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .graphs import MAX_TABLE_BITS
 from .ising import EnergyTable
 
-MAX_QUBITS = 24
+# Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
+# complex multiply-adds per amplitude: larger groups save calls, smaller ones
+# flops and memory. At 5 the matrix is 32 x 32.
+_MIXER_GROUP = 5
 
 
 @dataclass
@@ -72,30 +78,71 @@ class AngleSchedule:
 
 def uniform_state(n: int) -> StateVector:
     """Equal superposition of all 2^n basis states (Hadamard on every qubit)."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    if not 1 <= n <= MAX_TABLE_BITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_TABLE_BITS}], got {n}")
     amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
     return StateVector(n, amp)
 
 
 def apply_cost_layer(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
-    """Diagonal phase: amplitude[k] *= exp(-i * gamma * energies[k])."""
+    """Diagonal phase: amplitude[k] *= exp(-i * gamma * energies[k]).
+
+    The phase is computed once per distinct energy and gathered per basis
+    state, which gives the same values as exponentiating every entry.
+    """
     if table.n_vars != state.n_qubits:
         raise ValueError(
             f"energy table has {table.n_vars} variables, state has {state.n_qubits} qubits"
         )
-    amp = state.amplitudes * np.exp(-1j * gamma * table.energies)
+    levels, inverse = table.levels
+    amp = np.exp(-1j * gamma * levels)[inverse]
+    # Operands in the order of amplitudes * phases: numpy's complex product
+    # can round differently with them swapped.
+    np.multiply(state.amplitudes, amp, out=amp)
     return StateVector(state.n_qubits, amp)
 
 
+@lru_cache(maxsize=None)
+def _hamming_distances(k: int) -> np.ndarray:
+    """popcount(i ^ j) for all i, j < 2^k, read-only."""
+    index = np.arange(1 << k)
+    xor = index[:, None] ^ index[None, :]
+    dist = sum((xor >> b) & 1 for b in range(k))
+    dist.setflags(write=False)
+    return dist
+
+
+@lru_cache(maxsize=None)
+def _group_sizes(n: int) -> tuple[int, ...]:
+    """n qubits split into consecutive groups of at most _MIXER_GROUP, sizes as even as possible."""
+    groups = -(-n // _MIXER_GROUP)
+    base, extra = divmod(n, groups)
+    return (base + 1,) * extra + (base,) * (groups - extra)
+
+
 def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
-    """X rotation exp(-i * beta * X) applied to every qubit independently."""
+    """X rotation exp(-i * beta * X) applied to every qubit independently.
+
+    The qubits are taken in consecutive groups of k <= 5. A group's rotation
+    U(beta)^{⊗k} has entry cos(b)^(k-d) * (-i sin(b))^d at (i, j), where
+    d = popcount(i ^ j); it is symmetric, and is applied as one matmul over
+    the (left, 2^k, right) view of the amplitudes.
+    """
     n = state.n_qubits
-    c = np.cos(beta)
-    s = np.sin(beta)
-    psi = state.amplitudes.reshape((2,) * n)
-    for axis in range(n):
-        psi = c * psi - 1j * s * np.flip(psi, axis=axis)
+    c, s = math.cos(beta), math.sin(beta)
+    rotations: dict[int, np.ndarray] = {}
+    psi = state.amplitudes
+    done = 0
+    for k in _group_sizes(n):
+        if k not in rotations:
+            powers = np.array([c ** (k - d) * (-1j * s) ** d for d in range(k + 1)])
+            rotations[k] = powers[_hamming_distances(k)]
+        left, right = 1 << done, 1 << (n - done - k)
+        if right == 1:
+            psi = psi.reshape(left, 1 << k) @ rotations[k]
+        else:
+            psi = np.matmul(rotations[k], psi.reshape(left, 1 << k, right))
+        done += k
     return StateVector(n, psi.reshape(-1))
 
 

@@ -176,8 +176,8 @@ def compile_tdp_qubo(g: Graph, p: float | None = None) -> QuboModel:
     """
     if p is None:
         p = 1.5 * g.n_vertices
-    if p <= 0:
-        raise ValueError(f"punishment coefficient must be positive, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"punishment coefficient must be finite and positive, got {p}")
 
     degrees = g.degrees()
     if any(deg == 0 for deg in degrees):

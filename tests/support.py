@@ -7,7 +7,8 @@ from itertools import combinations
 
 import numpy as np
 
-from tds_qaoa import Graph, InfeasibleGraphError, is_total_dominating_set
+from tds_qaoa import Graph, InfeasibleGraphError, StateVector, is_total_dominating_set
+from tds_qaoa.graphs import MAX_TABLE_BITS
 
 # Minimum total dominating sets of the bundled 6-node benchmark graph.
 PAPER6_MIN_TDS = {
@@ -100,6 +101,31 @@ def dense_evolve_oracle(energies: np.ndarray, gammas, betas) -> np.ndarray:
     return state
 
 
+def reference_cost_layer(state: StateVector, energies: np.ndarray, gamma: float) -> StateVector:
+    """Cost phase from one complex exponential per basis state."""
+    return StateVector(state.n_qubits, state.amplitudes * np.exp(-1j * gamma * energies))
+
+
+def reference_mixer_layer(state: StateVector, beta: float) -> StateVector:
+    """X rotation on one tensor axis at a time: c * psi - i s * (psi with that bit flipped)."""
+    n = state.n_qubits
+    c = np.cos(beta)
+    s = np.sin(beta)
+    psi = state.amplitudes.reshape((2,) * n)
+    for axis in range(n):
+        psi = c * psi - 1j * s * np.flip(psi, axis=axis)
+    return StateVector(n, psi.reshape(-1))
+
+
+def reference_evolve(energies: np.ndarray, gammas, betas) -> np.ndarray:
+    """Amplitudes of the layered circuit composed from the two reference layers."""
+    n = len(energies).bit_length() - 1
+    state = StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex))
+    for gamma, beta in zip(gammas, betas):
+        state = reference_mixer_layer(reference_cost_layer(state, energies, gamma), beta)
+    return state.amplitudes
+
+
 def all_assignments(n_vars: int):
     """All 0/1 tuples of length n_vars in basis-state index order."""
     for k in range(1 << n_vars):
@@ -157,17 +183,14 @@ def metrics_reference(probs: np.ndarray, g: Graph) -> tuple[float, float, str, b
     return correct, optimal, z_star, z_is_tds, z_is_tds and len(z_set) == min_size
 
 
-_MIN_BRUTEFORCE_LIMIT = 24
-
-
 def qubo_min_bruteforce(m) -> tuple[float, list[tuple[int, ...]]]:
     """Exhaustive minimum over all 2^n_vars assignments, with all argmins.
 
     Ground-truth oracle; assignments are returned as 0/1 tuples in variable
     order.
     """
-    if m.n_vars > _MIN_BRUTEFORCE_LIMIT:
-        raise ValueError(f"exhaustive scan limited to {_MIN_BRUTEFORCE_LIMIT} variables")
+    if m.n_vars > MAX_TABLE_BITS:
+        raise ValueError(f"exhaustive scan limited to {MAX_TABLE_BITS} variables")
     best = math.inf
     argmins: list[tuple[int, ...]] = []
     for k in range(1 << m.n_vars):

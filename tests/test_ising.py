@@ -119,6 +119,15 @@ class TestEnergyTable:
         t2 = build_energy_table(m)
         assert np.array_equal(t1.energies, t2.energies)
 
+    def test_levels_gather_back_to_energies(self):
+        table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
+        levels, inverse = table.levels
+        assert levels.size == 62
+        assert np.all(np.diff(levels) > 0)
+        assert np.array_equal(levels[inverse], table.energies)
+        assert table.levels is table.levels
+        assert not levels.flags.writeable and not inverse.flags.writeable
+
     def test_resource_limit(self):
         with pytest.raises(ValueError, match="limited"):
             build_energy_table(model(25))

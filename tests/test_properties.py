@@ -1,0 +1,89 @@
+"""Property tests on random tables, schedules and small graphs (Hypothesis).
+
+Every test is derandomized, so a run draws the same examples each time.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tds_qaoa import (
+    AngleSchedule,
+    EnergyTable,
+    Graph,
+    build_energy_table,
+    compile_tdp_qubo,
+    evolve,
+    marginalize_vertices,
+    minimum_tds_bruteforce,
+    qubit_counts,
+)
+from support import reference_evolve
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# Graphs whose encoding needs more qubits are skipped: dense 8-vertex graphs
+# need up to 32, and at 16 a table builds in milliseconds.
+MAX_GRAPH_QUBITS = 16
+
+
+@st.composite
+def schedules(draw, max_layers):
+    q = draw(st.integers(1, max_layers))
+    gammas = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=q, max_size=q))
+    betas = draw(st.lists(st.floats(0.0, np.pi), min_size=q, max_size=q))
+    return AngleSchedule(tuple(gammas), tuple(betas))
+
+
+@st.composite
+def graphs_without_isolated_vertices(draw, max_vertices=8):
+    """Random graph on 2..max_vertices vertices; an isolated vertex gets an edge to its successor."""
+    n = draw(st.integers(2, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)))
+    for v in range(n):
+        if not any(v in e for e in edges):
+            edges.add(tuple(sorted((v, (v + 1) % n))))
+    return Graph(n, sorted(edges))
+
+
+@DETERMINISTIC
+@given(
+    n=st.integers(1, 11),
+    seed=st.integers(0, 2**32 - 1),
+    integer_energies=st.booleans(),
+    schedule=schedules(max_layers=3),
+)
+def test_evolve_matches_reference_layers(n, seed, integer_energies, schedule):
+    rng = np.random.default_rng(seed)
+    if integer_energies:
+        energies = rng.integers(-8, 9, size=1 << n).astype(float)
+    else:
+        energies = rng.normal(size=1 << n) * 3.0
+    out = evolve(EnergyTable(n, energies), schedule)
+    expected = reference_evolve(energies, schedule.gammas, schedule.betas)
+    assert np.abs(out.amplitudes - expected).max() <= 1e-12
+
+
+@DETERMINISTIC
+@given(g=graphs_without_isolated_vertices())
+def test_energy_argmins_are_minimum_tds(g):
+    assume(qubit_counts(g)[0] <= MAX_GRAPH_QUBITS)
+    n = g.n_vertices
+    table = build_energy_table(compile_tdp_qubo(g, n + 1.0))
+    min_size, optimal = minimum_tds_bruteforce(g)
+    n_slack = table.n_vars - n
+    for k in table.argmin_indices():
+        prefix = k >> n_slack
+        vertex_set = frozenset(v for v in range(n) if (prefix >> (n - 1 - v)) & 1)
+        assert len(vertex_set) == min_size
+        assert vertex_set in optimal
+
+
+@DETERMINISTIC
+@given(g=graphs_without_isolated_vertices(), schedule=schedules(max_layers=3))
+def test_vertex_marginal_sums_to_one(g, schedule):
+    assume(qubit_counts(g)[0] <= MAX_GRAPH_QUBITS)
+    table = build_energy_table(compile_tdp_qubo(g))
+    marginal = marginalize_vertices(evolve(table, schedule).probabilities(), g.n_vertices)
+    assert abs(marginal.sum() - 1.0) <= 1e-12

@@ -17,11 +17,25 @@ from tds_qaoa import (
     sample,
     uniform_state,
 )
-from support import dense_evolve_oracle
+from support import (
+    dense_evolve_oracle,
+    reference_cost_layer,
+    reference_evolve,
+    reference_mixer_layer,
+)
 
 
 def random_table(rng, n, scale=3.0):
     return EnergyTable(n, rng.normal(size=1 << n) * scale)
+
+
+def random_state(rng, n):
+    amplitudes = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+
+
+# One mixer group (n <= 5), then two or three groups of equal and of unequal sizes.
+REFERENCE_SIZES = (1, 2, 4, 5, 6, 9, 10, 11, 12, 14)
 
 
 class TestAngleSchedule:
@@ -116,6 +130,55 @@ class TestMixerLayer:
             w, v = np.linalg.eigh(mixer)
             expected = v @ (np.exp(-1j * beta * w) * (v.conj().T @ amplitudes))
             assert np.allclose(out.amplitudes, expected, atol=1e-10)
+
+
+class TestAgainstReferenceLayers:
+    """The fast layers against the per-entry exp and per-axis flip references."""
+
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    def test_cost_layer(self, n):
+        rng = np.random.default_rng(100 + n)
+        # half-integer energies repeat, as QUBO energies do
+        table = EnergyTable(n, rng.integers(-20, 21, size=1 << n) / 2.0)
+        state = random_state(rng, n)
+        before = state.amplitudes.copy()
+        for gamma in (0.37, 2.9, 5.8):
+            out = apply_cost_layer(state, table, gamma)
+            expected = reference_cost_layer(state, table.energies, gamma)
+            assert np.abs(out.amplitudes - expected.amplitudes).max() <= 1e-12
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)
+            assert not any(np.shares_memory(out.amplitudes, a) for a in table.levels)
+        assert np.array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    @pytest.mark.parametrize("beta", [0.41, 1.3, 1.9, 3.05])
+    def test_mixer_layer(self, n, beta):
+        rng = np.random.default_rng(200 + n)
+        state = random_state(rng, n)
+        before = state.amplitudes.copy()
+        out = apply_mixer_layer(state, beta)
+        expected = reference_mixer_layer(state, beta)
+        assert np.abs(out.amplitudes - expected.amplitudes).max() <= 1e-12
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+        assert np.array_equal(state.amplitudes, before)
+
+    @pytest.mark.parametrize("n", REFERENCE_SIZES)
+    def test_evolve(self, n):
+        rng = np.random.default_rng(300 + n)
+        table = EnergyTable(n, rng.integers(-20, 21, size=1 << n) / 2.0)
+        gammas = (0.8, 4.1, 2.2)
+        betas = (2.7, 0.3, 1.8)  # cos(beta) < 0 in the first layer
+        out = evolve(table, AngleSchedule(gammas, betas))
+        expected = reference_evolve(table.energies, gammas, betas)
+        assert np.abs(out.amplitudes - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 11])
+    def test_zero_angles_are_exact_identities(self, n):
+        rng = np.random.default_rng(400 + n)
+        table = random_table(rng, n)
+        state = random_state(rng, n)
+        assert np.array_equal(apply_cost_layer(state, table, 0.0).amplitudes, state.amplitudes)
+        assert np.array_equal(apply_mixer_layer(state, 0.0).amplitudes, state.amplitudes)
 
 
 class TestEvolve:

@@ -109,6 +109,11 @@ class TestCompile:
         with pytest.raises(ValueError):
             compile_tdp_qubo(builtin_instance(), 0.0)
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+    def test_nonfinite_penalty_rejected(self, p):
+        with pytest.raises(ValueError, match=f"got {p}$"):
+            compile_tdp_qubo(builtin_instance(), float(p))
+
 
 class TestEvaluate:
     def test_paper6_tds_assignment(self):
