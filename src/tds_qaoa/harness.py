@@ -24,7 +24,7 @@ import pathlib
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, TextIO
 
 import numpy as np
 
@@ -48,6 +48,7 @@ DEFAULT_SWEEP_LAYERS = (2, 5, 10, 20)
 DEFAULT_SWEEP_MULTIPLIERS = (0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 DEFAULT_SWEEP_MAXITERS = (50, 100, 200, 500)
 TOP_K = 10
+CSV_BLOCK_ROWS = 4096
 
 ROW_FIELDS = (
     "q", "P", "maxiter", "seed", "z_star", "is_tds", "is_min_tds",
@@ -120,7 +121,9 @@ class RunResult:
     The vertex distributions are dense arrays indexed like bit strings
     (vertex 0 is the most significant bit): exact_probabilities is the
     normalized exact marginal, vertex_counts the sampled shots per vertex
-    string. The bit-string-keyed views are built from them on first use.
+    string. top_k and the bit-string-keyed views are built from them on
+    first use; the descending order of exact_probabilities is taken once and
+    shared by top_k (in exact mode) and distribution.csv.
     """
 
     config: RunConfig
@@ -132,28 +135,45 @@ class RunResult:
     z_star_is_minimal_tds: bool
     correct_probability: float
     optimal_probability: float
-    top_k: list[tuple[str, float]]
     exact_probabilities: np.ndarray = field(repr=False)
     vertex_counts: np.ndarray = field(repr=False)
     runtime_ms: float = 0.0
 
     @cached_property
-    def _bit_strings(self) -> list[str]:
-        n = len(self.exact_probabilities).bit_length() - 1
-        return [index_to_bits(k, n) for k in range(1 << n)]
+    def _descending_order(self) -> np.ndarray:
+        return _descending(self.exact_probabilities)
+
+    @cached_property
+    def top_k(self) -> list[tuple[str, float]]:
+        """The TOP_K most probable vertex strings of the scored distribution."""
+        if self.config.exact_metrics:
+            probs, order = self.exact_probabilities, self._descending_order
+        else:
+            probs = self.vertex_counts / self.vertex_counts.sum()
+            order = _descending(probs)
+        top = order[:TOP_K]
+        return list(zip(_bit_strings(top, self._n_vertices), probs[top].tolist()))
 
     @cached_property
     def exact_marginal(self) -> dict[str, float]:
-        return dict(zip(self._bit_strings, self.exact_probabilities.tolist()))
+        return dict(zip(self._all_bit_strings(), self.exact_probabilities.tolist()))
 
     @cached_property
     def sampled_marginal(self) -> dict[str, float]:
-        return dict(zip(self._bit_strings, (self.vertex_counts / self.vertex_counts.sum()).tolist()))
+        return dict(zip(self._all_bit_strings(), (self.vertex_counts / self.vertex_counts.sum()).tolist()))
 
     @cached_property
     def sampled_counts(self) -> dict[str, int]:
         """Shot count per vertex string sampled at least once."""
-        return {bits: c for bits, c in zip(self._bit_strings, self.vertex_counts.tolist()) if c}
+        seen = np.flatnonzero(self.vertex_counts)
+        return dict(zip(_bit_strings(seen, self._n_vertices), self.vertex_counts[seen].tolist()))
+
+    @property
+    def _n_vertices(self) -> int:
+        return len(self.exact_probabilities).bit_length() - 1
+
+    def _all_bit_strings(self) -> list[str]:
+        return _bit_strings(np.arange(len(self.exact_probabilities)), self._n_vertices)
 
     def to_dict(self) -> dict:
         return {
@@ -177,20 +197,38 @@ class RunResult:
             "runtime_ms": self.runtime_ms,
         }
 
+    def write_distribution_csv(self, fh: TextIO) -> None:
+        """Write CSV `bits,probability,count` rows, descending by probability, to fh.
+
+        Rows go out in blocks of CSV_BLOCK_ROWS with the csv module's CRLF
+        endings; probabilities are written as their repr, counts as integers.
+        """
+        fh.write("bits,probability,count\r\n")
+        order = self._descending_order
+        for start in range(0, len(order), CSV_BLOCK_ROWS):
+            block = order[start:start + CSV_BLOCK_ROWS]
+            bits = _bit_strings(block, self._n_vertices)
+            # A list's repr joins its items' reprs with ", ", which no float or int repr contains.
+            probs = repr(self.exact_probabilities[block].tolist())[1:-1].split(", ")
+            counts = repr(self.vertex_counts[block].tolist())[1:-1].split(", ")
+            fh.write("\r\n".join(map(",".join, zip(bits, probs, counts))) + "\r\n")
+
     def distribution_csv(self) -> str:
-        """CSV `bits,probability,count`, descending by probability."""
+        """The distribution.csv text; see write_distribution_csv."""
         out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["bits", "probability", "count"])
-        probs, counts = self.exact_probabilities.tolist(), self.vertex_counts.tolist()
-        for k in _descending(self.exact_probabilities):
-            writer.writerow([self._bit_strings[k], repr(probs[k]), counts[k]])
+        self.write_distribution_csv(out)
         return out.getvalue()
 
 
 def _descending(probs: np.ndarray) -> np.ndarray:
     """Indices by descending probability; ties keep ascending bit strings."""
     return np.argsort(-probs, kind="stable")
+
+
+def _bit_strings(indices: np.ndarray, n: int) -> list[str]:
+    """The n-character bit strings of basis-state indices, MSB first (n >= 1)."""
+    digits = (indices[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return (digits.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
 def _vertex_probabilities(dist: np.ndarray | Mapping[str, float], n: int) -> np.ndarray:
@@ -284,7 +322,6 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
     counts = marginalize_vertices(shot_counts, n_vertex)
     scored = exact if config.exact_metrics else counts / counts.sum()
     metrics = compute_metrics(scored, g)
-    top_k = [(index_to_bits(int(k), n_vertex), float(scored[k])) for k in _descending(scored)[:TOP_K]]
 
     return RunResult(
         config=config,
@@ -296,7 +333,6 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
         z_star_is_minimal_tds=metrics.z_star_is_minimal_tds,
         correct_probability=metrics.correct_probability,
         optimal_probability=metrics.optimal_probability,
-        top_k=top_k,
         exact_probabilities=exact,
         vertex_counts=counts,
         runtime_ms=(time.perf_counter() - start) * 1e3,
@@ -438,7 +474,8 @@ def write_run_outputs(result: RunResult, out_dir) -> None:
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "result.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")
-    (out / "distribution.csv").write_text(result.distribution_csv())
+    with open(out / "distribution.csv", "w", newline="", encoding="utf-8") as fh:
+        result.write_distribution_csv(fh)
     (out / "trace.csv").write_text(result.trace.to_csv())
 
 

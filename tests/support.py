@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import combinations
 
 import numpy as np
 
-from tds_qaoa import Graph, InfeasibleGraphError, StateVector, is_total_dominating_set
+from tds_qaoa import Graph, InfeasibleGraphError, StateVector, index_to_bits, is_total_dominating_set
 from tds_qaoa.graphs import MAX_TABLE_BITS
 
 # Minimum total dominating sets of the bundled 6-node benchmark graph.
@@ -202,3 +204,25 @@ def qubo_min_bruteforce(m) -> tuple[float, list[tuple[int, ...]]]:
         elif value == best:
             argmins.append(x)
     return best, argmins
+
+
+def reference_bit_strings(n: int) -> list[str]:
+    """Every n-character vertex string in index order, one index_to_bits call each."""
+    return [index_to_bits(k, n) for k in range(1 << n)]
+
+
+def reference_distribution_csv(result) -> str:
+    """distribution.csv text of a RunResult, written row by row with csv.writer.
+
+    Rows are sorted by descending exact probability (stable, so ties keep
+    ascending bit strings); the probability is written as its repr.
+    """
+    n = len(result.exact_probabilities).bit_length() - 1
+    bit_strings = reference_bit_strings(n)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["bits", "probability", "count"])
+    probs, counts = result.exact_probabilities.tolist(), result.vertex_counts.tolist()
+    for k in np.argsort(-result.exact_probabilities, kind="stable"):
+        writer.writerow([bit_strings[k], repr(probs[k]), counts[k]])
+    return out.getvalue()

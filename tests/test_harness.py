@@ -4,22 +4,33 @@ import numpy as np
 import pytest
 
 from tds_qaoa import (
+    AngleSchedule,
     Graph,
     InfeasibleGraphError,
+    OptimizationTrace,
     RunConfig,
+    RunResult,
     builtin_instance,
     compute_metrics,
+    index_to_bits,
     is_total_dominating_set,
     run_single,
     run_sweep,
 )
+from tds_qaoa import harness
 from tds_qaoa.harness import (
     ROW_FIELDS,
     derive_cell_seed,
     write_run_outputs,
     write_sweep_outputs,
 )
-from support import PAPER6_MIN_TDS, metrics_reference, random_graph
+from support import (
+    PAPER6_MIN_TDS,
+    metrics_reference,
+    random_graph,
+    reference_bit_strings,
+    reference_distribution_csv,
+)
 
 
 @pytest.fixture
@@ -177,6 +188,80 @@ class TestRunSingle:
         assert len(dist_lines) == 1 + 64
         trace_lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert len(trace_lines) == 1 + result.trace.n_evaluations
+
+
+def _tied_result() -> RunResult:
+    """Three vertices with tied probabilities, and zero counts on some strings."""
+    return RunResult(
+        config=RunConfig(),
+        penalty=4.5,
+        optimized_schedule=AngleSchedule((0.5,), (0.5,)),
+        trace=OptimizationTrace([(np.array([0.5, 0.5]), 1.0)], np.array([0.5, 0.5]), 1.0, "converged"),
+        z_star="001",
+        z_star_is_tds=False,
+        z_star_is_minimal_tds=False,
+        correct_probability=0.0,
+        optimal_probability=0.0,
+        exact_probabilities=np.array([0.0, 0.25, 0.125, 0.25, 0.0, 0.125, 0.25, 0.0]),
+        vertex_counts=np.array([0, 3, 0, 2, 1, 0, 4, 0]),
+    )
+
+
+@pytest.fixture(scope="module")
+def output_results():
+    """Results whose outputs are compared with the per-row references."""
+    cycle12 = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
+    return {
+        "paper6-exact": run_single(RunConfig(layers_q=2, penalty=9.0, max_iterations=30, seed=3)),
+        # 500 shots leave tied and zero counts; top_k follows the counts here
+        "paper6-sampled": run_single(
+            RunConfig(layers_q=2, penalty=9.0, max_iterations=30, seed=3, shots=500, exact_metrics=False)
+        ),
+        "cycle12": run_single(RunConfig(layers_q=2, penalty=18.0, max_iterations=10, seed=5), graph=cycle12),
+        "tied": _tied_result(),
+    }
+
+
+OUTPUT_CASES = ("paper6-exact", "paper6-sampled", "cycle12", "tied")
+
+
+class TestRunOutputsAgainstReference:
+    @pytest.mark.parametrize("name", OUTPUT_CASES)
+    def test_distribution_csv_bytes(self, output_results, name):
+        result = output_results[name]
+        expected = reference_distribution_csv(result).encode()
+        assert result.distribution_csv().encode() == expected
+
+    @pytest.mark.parametrize("name", OUTPUT_CASES)
+    def test_written_file_bytes(self, output_results, name, tmp_path):
+        result = output_results[name]
+        write_run_outputs(result, tmp_path)
+        assert (tmp_path / "distribution.csv").read_bytes() == reference_distribution_csv(result).encode()
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    def test_block_boundaries(self, output_results, block_rows, monkeypatch):
+        monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", block_rows)
+        for name in ("paper6-exact", "tied"):
+            result = output_results[name]
+            assert result.distribution_csv() == reference_distribution_csv(result)
+
+    @pytest.mark.parametrize("name", OUTPUT_CASES)
+    def test_dict_views(self, output_results, name):
+        result = output_results[name]
+        bits = reference_bit_strings(len(result.exact_probabilities).bit_length() - 1)
+        probs, counts = result.exact_probabilities, result.vertex_counts
+        assert list(result.exact_marginal.items()) == list(zip(bits, probs.tolist()))
+        assert list(result.sampled_marginal.items()) == list(zip(bits, (counts / counts.sum()).tolist()))
+        assert list(result.sampled_counts.items()) == [(b, c) for b, c in zip(bits, counts.tolist()) if c]
+
+    @pytest.mark.parametrize("name", OUTPUT_CASES)
+    def test_top_k(self, output_results, name):
+        result = output_results[name]
+        n = len(result.exact_probabilities).bit_length() - 1
+        counts = result.vertex_counts
+        scored = result.exact_probabilities if result.config.exact_metrics else counts / counts.sum()
+        order = np.argsort(-scored, kind="stable")[:harness.TOP_K]
+        assert result.top_k == [(index_to_bits(int(k), n), float(scored[k])) for k in order]
 
 
 class TestRunSweep:

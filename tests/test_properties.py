@@ -16,6 +16,7 @@ from tds_qaoa import (
     evolve,
     marginalize_vertices,
     minimum_tds_bruteforce,
+    parse_graph,
     qubit_counts,
 )
 from support import reference_evolve
@@ -45,6 +46,36 @@ def graphs_without_isolated_vertices(draw, max_vertices=8):
         if not any(v in e for e in edges):
             edges.add(tuple(sorted((v, (v + 1) % n))))
     return Graph(n, sorted(edges))
+
+
+@st.composite
+def graph_texts(draw, max_vertices=8):
+    """A random graph and its text: shuffled, randomly oriented edge lines among comments and blank lines."""
+    n = draw(st.integers(0, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edge_lines = [
+        f"{v} {u}" if draw(st.booleans()) else f"{u} {v}"
+        for u, v in draw(st.permutations(edges))
+    ]
+    filler = st.one_of(
+        st.sampled_from(["", "   ", "\t"]),
+        st.text(st.sampled_from("ab 01#"), max_size=8).map(lambda t: "#" + t),
+        st.text(st.sampled_from("ab 01#"), max_size=8).map(lambda t: "  # " + t),
+    )
+    lines = []
+    for line in [f"{n} {len(edges)}", *edge_lines]:
+        lines += draw(st.lists(filler, max_size=2))
+        lines.append(line)
+    lines += draw(st.lists(filler, max_size=2))
+    return Graph(n, edges), "\n".join(lines)
+
+
+@DETERMINISTIC
+@given(case=graph_texts())
+def test_parse_graph_round_trip(case):
+    g, text = case
+    assert parse_graph(text) == g
 
 
 @DETERMINISTIC
