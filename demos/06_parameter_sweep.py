@@ -7,6 +7,9 @@ full grid.
 """
 
 from tds_qaoa import RunConfig, run_sweep
+from tds_qaoa.harness import (  # noqa: F401  (the commented full grid below uses them)
+    DEFAULT_SWEEP_LAYERS, DEFAULT_SWEEP_MAXITERS, DEFAULT_SWEEP_MULTIPLIERS,
+)
 
 base = RunConfig(graph_source="builtin:paper6", seed=0)
 sweep = run_sweep(

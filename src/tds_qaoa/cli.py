@@ -2,7 +2,8 @@
 
 Subcommands: compile, bound, oracle, run, sweep, trace. Exit codes: 0 on
 success, 1 on usage errors, 2 when the instance is infeasible (isolated
-vertex, no TDS exists), 3 on internal errors and when any sweep cell failed.
+vertex, no TDS exists), 3 on internal errors and when a sweep cell failed
+while it ran.
 """
 
 from __future__ import annotations
@@ -220,9 +221,6 @@ def _cmd_sweep(args) -> int:
         gamma_scale=args.gamma_scale,
         beta_scale=args.beta_scale,
     )
-    # A bad file or an infeasible graph fails the whole sweep with run's exit
-    # code instead of one error row per cell.
-    compile_tdp_qubo(load_graph(base.graph_source))
     result = run_sweep(
         base,
         layer_values=tuple(args.q_list),

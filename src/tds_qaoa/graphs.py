@@ -65,10 +65,6 @@ class Graph:
         self._check_vertex(v)
         return self._adjacency[v]
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._adjacency[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self._adjacency)
 

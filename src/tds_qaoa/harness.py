@@ -372,23 +372,13 @@ def _dicts_to_csv(rows: list[dict], fields: tuple[str, ...]) -> str:
     return out.getvalue()
 
 
-def _run_sweep_cell(args: tuple[RunConfig, int, float, int, int]) -> dict:
-    base, q, multiplier, maxiter, replicate = args
-    row = {"q": q, "P": "", "maxiter": maxiter, "seed": replicate, "error": ""}
+def _run_sweep_cell(config: RunConfig, graph: Graph, replicate: int) -> dict:
+    row = {
+        "q": config.layers_q, "P": config.resolve_penalty(graph),
+        "maxiter": config.max_iterations, "seed": replicate, "error": "",
+    }
     try:
-        g = load_graph(base.graph_source)
-        penalty = multiplier * g.n_vertices
-        row["P"] = penalty
-        seed = derive_cell_seed(base.seed, q, penalty, maxiter, replicate)
-        config = replace(
-            base,
-            layers_q=q,
-            penalty=penalty,
-            penalty_multiplier=None,
-            max_iterations=maxiter,
-            seed=seed,
-        )
-        result = run_single(config, graph=g)
+        result = run_single(config, graph=graph)
         row.update(
             z_star=result.z_star,
             is_tds=result.z_star_is_tds,
@@ -419,23 +409,34 @@ def run_sweep(
     """Run the Cartesian (q, P multiplier, maxiter) grid with replicate seeds.
 
     One row per (cell, replicate); one summary per cell aggregating over
-    replicates. Failures are recorded in the row's error column and do not
-    stop the sweep. base.seed is the sweep-level seed from which every
-    replicate seed is derived.
+    replicates. base.seed is the sweep-level seed from which every replicate
+    seed is derived. A bad file, an infeasible graph or a bad grid value
+    raises before any cell runs; a cell that fails while running gets its
+    error in the row's error column and does not stop the sweep.
     """
-    tasks = [
-        (base, q, m, it, r)
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    g = load_graph(base.graph_source)
+    # An infeasible graph fails the whole sweep, as it fails run_single.
+    compile_tdp_qubo(g, base.resolve_penalty(g))
+    grid = [
+        replace(base, layers_q=q, penalty=None, penalty_multiplier=m, max_iterations=it)
         for q in layer_values
         for m in multiplier_values
         for it in maxiter_values
-        for r in range(n_seeds)
     ]
+    tasks = []
+    for config in grid:
+        penalty = config.resolve_penalty(g)
+        for r in range(n_seeds):
+            seed = derive_cell_seed(base.seed, config.layers_q, penalty, config.max_iterations, r)
+            tasks.append((replace(config, seed=seed), g, r))
     if workers > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_sweep_cell, tasks, chunksize=1))
+            rows = list(pool.map(_run_sweep_cell, *zip(*tasks), chunksize=1))
     else:
-        rows = [_run_sweep_cell(t) for t in tasks]
-    rows.sort(key=lambda r: (r["q"], r["P"] != "", r["P"] or 0.0, r["maxiter"], r["seed"]))
+        rows = [_run_sweep_cell(*t) for t in tasks]
+    rows.sort(key=lambda r: (r["q"], r["P"], r["maxiter"], r["seed"]))
 
     cells: dict[tuple, list[dict]] = {}
     for row in rows:
@@ -459,11 +460,10 @@ def run_sweep(
             "cell_is_tds": tds_rate >= 0.5,
             "cell_is_min_tds": min_rate >= 0.5,
         })
-    n_cells = len(layer_values) * len(multiplier_values) * len(maxiter_values)
     return SweepResult(
         rows=rows,
         summaries=summaries,
-        n_cells=n_cells,
+        n_cells=len(grid),
         n_cells_tds=sum(s["cell_is_tds"] for s in summaries),
         n_cells_min_tds=sum(s["cell_is_min_tds"] for s in summaries),
     )

@@ -60,10 +60,6 @@ class AngleSchedule:
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.gammas)
-
     def as_vector(self) -> np.ndarray:
         """Flat parameter vector [gammas..., betas...] for the optimizer."""
         return np.asarray(self.gammas + self.betas, dtype=np.float64)

@@ -167,15 +167,14 @@ def _add_squared_affine(
     return scale * offset * offset
 
 
-def compile_tdp_qubo(g: Graph, p: float | None = None) -> QuboModel:
+def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
     """Build the QUBO for the total domination problem on g.
 
-    p is the punishment coefficient; defaults to 1.5 * n_vertices. Raises
+    p is the punishment coefficient and is required: RunConfig.resolve_penalty
+    turns a multiple of |V| (1.5 by default) into one. Raises
     InfeasibleGraphError when the graph has an isolated vertex (the covering
     constraint sum over an empty neighborhood cannot be satisfied).
     """
-    if p is None:
-        p = 1.5 * g.n_vertices
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"punishment coefficient must be finite and positive, got {p}")
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tds_qaoa import harness
 from tds_qaoa.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, cli_entry
 
 
@@ -145,15 +146,45 @@ class TestSweep:
     def test_missing_graph_file(self):
         assert cli_entry(["sweep", "--graph", "/nonexistent/g.txt"]) == EXIT_USAGE
 
-    def test_failed_cells_exit_nonzero(self, edge_graph, capsys):
+    def test_failed_cells_exit_nonzero(self, edge_graph, capsys, monkeypatch):
+        run_single = harness.run_single
+
+        def fail_for_q2(config, graph=None):
+            if config.layers_q == 2:
+                raise RuntimeError("cell blew up at q=2")
+            return run_single(config, graph=graph)
+
+        monkeypatch.setattr(harness, "run_single", fail_for_q2)
         code = cli_entry([
-            "sweep", "--graph", edge_graph, "--q-list", "1",
-            "--P-mult-list", "0", "1.5", "--maxiter-list", "5", "--shots", "100",
+            "sweep", "--graph", edge_graph, "--q-list", "1", "2",
+            "--P-mult-list", "1.5", "--maxiter-list", "5", "--shots", "100", "--workers", "1",
         ])
         assert code == EXIT_INTERNAL
         captured = capsys.readouterr()
         assert "cells failed: 1" in captured.out
-        assert "penalty" in captured.err
+        assert "cell blew up at q=2" in captured.err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--q-list", "0"], "layers_q"),
+        (["--maxiter-list", "0"], "max_iterations"),
+        (["--P-mult-list", "0", "1.5"], "penalty_multiplier"),
+        (["--P-mult-list", "nan", "1.5"], "penalty_multiplier"),
+        (["--seeds", "0"], "n_seeds"),
+    ], ids=["q-0", "maxiter-0", "p-mult-0", "p-mult-nan", "seeds-0"])
+    def test_bad_grid_value_exits_before_the_grid(self, edge_graph, capsys, monkeypatch, flags, field):
+        def no_cell_may_run(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "run_single", no_cell_may_run)
+        # A flag given twice keeps its last value, so flags overrides the small grid.
+        argv = [
+            "sweep", "--graph", edge_graph, "--q-list", "1", "--P-mult-list", "1.5",
+            "--maxiter-list", "5", "--shots", "100", "--workers", "1", *flags,
+        ]
+        assert cli_entry(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "cells:" not in captured.out
 
     def test_workers_env_fallback(self, edge_graph, capsys, monkeypatch):
         monkeypatch.setenv("TDS_QAOA_WORKERS", "1")

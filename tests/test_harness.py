@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,9 @@ class TestRunSingle:
         with pytest.raises(ValueError):
             RunConfig(penalty=3.0, penalty_multiplier=1.5)
 
+    def test_default_penalty_is_multiplier_1_5(self):
+        assert RunConfig().resolve_penalty(builtin_instance()) == 9.0
+
     def test_top_k_sorted(self):
         result = run_single(RunConfig(layers_q=2, penalty=9.0, max_iterations=40, seed=1))
         probs = [p for _, p in result.top_k]
@@ -293,14 +297,98 @@ class TestRunSweep:
         r2 = run_sweep(base, n_seeds=2, **kwargs)
         assert self._strip_timing(r1.rows) == self._strip_timing(r2.rows)
 
-    def test_failures_recorded_per_row(self, tmp_path):
+    def test_infeasible_graph_raises(self, tmp_path):
         path = tmp_path / "isolated.txt"
         path.write_text("3 1\n0 1\n")
         base = RunConfig(graph_source=str(path), seed=0, shots=100)
-        result = run_sweep(base, layer_values=(1,), multiplier_values=(1.0,), maxiter_values=(5,))
-        assert len(result.rows) == 1
-        assert "InfeasibleGraphError" in result.rows[0]["error"]
-        assert result.summaries == []
+        with pytest.raises(InfeasibleGraphError):
+            run_sweep(base, layer_values=(1,), multiplier_values=(1.0,), maxiter_values=(5,))
+
+    def test_failures_recorded_per_row(self, edge_graph_path, monkeypatch):
+        run_single = harness.run_single
+
+        def fail_for_q2(config, graph=None):
+            if config.layers_q == 2:
+                raise RuntimeError("cell blew up at q=2")
+            return run_single(config, graph=graph)
+
+        monkeypatch.setattr(harness, "run_single", fail_for_q2)
+        base = RunConfig(graph_source=edge_graph_path, seed=0, shots=100)
+        result = run_sweep(base, layer_values=(1, 2), multiplier_values=(1.0,), maxiter_values=(5,))
+        assert [row["error"] for row in result.rows] == ["", "RuntimeError: cell blew up at q=2"]
+        assert result.rows[1]["P"] == 2.0
+        assert [s["q"] for s in result.summaries] == [1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_match_direct_run_single(self, paper6, workers):
+        # Each row is the run_single cell of an absolute penalty m * |V| and
+        # the seed derived from it.
+        base = RunConfig(seed=5, shots=200)
+        grid = dict(layer_values=(1, 2), multiplier_values=(0.9, 1.5), maxiter_values=(8,))
+        result = run_sweep(base, n_seeds=2, workers=workers, **grid)
+        expected = []
+        for q in grid["layer_values"]:
+            for m in grid["multiplier_values"]:
+                for it in grid["maxiter_values"]:
+                    for r in range(2):
+                        penalty = m * paper6.n_vertices
+                        config = replace(
+                            base, layers_q=q, penalty=penalty, penalty_multiplier=None,
+                            max_iterations=it, seed=derive_cell_seed(base.seed, q, penalty, it, r),
+                        )
+                        direct = run_single(config)
+                        expected.append({
+                            "q": q, "P": penalty, "maxiter": it, "seed": r, "error": "",
+                            "z_star": direct.z_star,
+                            "is_tds": direct.z_star_is_tds,
+                            "is_min_tds": direct.z_star_is_minimal_tds,
+                            "correct_prob": direct.correct_probability,
+                            "optimal_prob": direct.optimal_probability,
+                            "final_cost": direct.trace.best_value,
+                            "evals": direct.trace.n_evaluations,
+                        })
+        assert self._strip_timing(result.rows) == expected
+
+    def test_graph_loaded_once(self, edge_graph_path, monkeypatch):
+        load_graph = harness.load_graph
+        sources = []
+
+        def counting_load_graph(source):
+            sources.append(source)
+            return load_graph(source)
+
+        monkeypatch.setattr(harness, "load_graph", counting_load_graph)
+        base = RunConfig(graph_source=edge_graph_path, seed=0, shots=100)
+        result = run_sweep(
+            base, layer_values=(1, 2), multiplier_values=(1.0, 1.5), maxiter_values=(5,),
+            n_seeds=2, workers=1,
+        )
+        assert len(result.rows) == 8
+        assert sources == [edge_graph_path]
+
+    @pytest.mark.parametrize("source, grid, n_seeds, error, match", [
+        ("missing", {}, 1, FileNotFoundError, "missing.txt"),
+        ("edge", {"layer_values": (1, 0)}, 1, ValueError, "layers_q"),
+        ("edge", {"maxiter_values": (5, 0)}, 1, ValueError, "max_iterations"),
+        ("edge", {"multiplier_values": (0.0, 1.5)}, 1, ValueError, "penalty_multiplier"),
+        ("edge", {"multiplier_values": (float("nan"), 1.5)}, 1, ValueError, "penalty_multiplier"),
+        ("edge", {}, 0, ValueError, "n_seeds"),
+        ("edge", {}, -2, ValueError, "n_seeds"),
+    ], ids=["missing-file", "q-0", "maxiter-0", "mult-0", "mult-nan", "seeds-0", "seeds-neg"])
+    def test_bad_input_raises_before_any_cell(
+        self, tmp_path, monkeypatch, source, grid, n_seeds, error, match,
+    ):
+        def no_cell_may_run(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "run_single", no_cell_may_run)
+        path = tmp_path / f"{source}.txt"
+        if source == "edge":
+            path.write_text("2 1\n0 1\n")
+        grid = {"layer_values": (1,), "multiplier_values": (1.5,), "maxiter_values": (5,), **grid}
+        base = RunConfig(graph_source=str(path), seed=0, shots=100)
+        with pytest.raises(error, match=match):
+            run_sweep(base, n_seeds=n_seeds, workers=1, **grid)
 
     def test_csv_outputs(self, tmp_path, edge_graph_path):
         base = RunConfig(graph_source=edge_graph_path, seed=0, shots=500)

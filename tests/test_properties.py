@@ -115,6 +115,6 @@ def test_energy_argmins_are_minimum_tds(g):
 @given(g=graphs_without_isolated_vertices(), schedule=schedules(max_layers=3))
 def test_vertex_marginal_sums_to_one(g, schedule):
     assume(qubit_counts(g)[0] <= MAX_GRAPH_QUBITS)
-    table = build_energy_table(compile_tdp_qubo(g))
+    table = build_energy_table(compile_tdp_qubo(g, 1.5 * g.n_vertices))
     marginal = marginalize_vertices(evolve(table, schedule).probabilities(), g.n_vertices)
     assert abs(marginal.sum() - 1.0) <= 1e-12

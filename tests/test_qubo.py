@@ -97,10 +97,6 @@ class TestCompile:
         assert m.n_vars == 3
         assert m.registry.slack_groups == ()
 
-    def test_default_penalty_is_multiplier_1_5(self):
-        m = compile_tdp_qubo(builtin_instance())
-        assert m.penalty == 9.0
-
     def test_isolated_vertex_infeasible(self):
         with pytest.raises(InfeasibleGraphError):
             compile_tdp_qubo(Graph(3, [(0, 1)]), 2.0)
