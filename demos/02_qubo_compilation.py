@@ -7,7 +7,8 @@ variables so the inequality becomes a squared equality.
 """
 
 from tds_qaoa import (
-    build_energy_table, builtin_instance, compile_tdp_qubo, index_to_bits, slack_coefficients,
+    bits_to_index, build_energy_table, builtin_instance, compile_tdp_qubo, index_to_bits,
+    slack_coefficients,
 )
 
 for n in (3, 4, 5, 9):
@@ -26,14 +27,13 @@ print(f"\nconstant term: {model.constant}")
 print(f"linear terms:   {model.linear}")
 print(f"quadratic terms ({len(model.quadratic)}): {model.quadratic}")
 
-# the all-zeros assignment violates all six constraints; a minimum TDS
-# assignment with zeroed slacks scores exactly its cardinality
-zeros = [0] * model.n_vars
-tds = [int(c) for c in "1000110000"]
-print(f"\nvalue at all-zeros: {model.evaluate(zeros)} (= 6P)")
-print(f"value at 1000110000 (vertices {{0,4,5}}): {model.evaluate(tds)}")
-
+# the energy table holds the model's value at every assignment: all-zeros
+# violates all six constraints; a minimum TDS assignment with zeroed slacks
+# scores exactly its cardinality
 table = build_energy_table(model)
+print(f"\nvalue at all-zeros: {table.energies[0]} (= 6P)")
+print(f"value at 1000110000 (vertices {{0,4,5}}): {table.energies[bits_to_index('1000110000')]}")
+
 argmins = [index_to_bits(k, model.n_vars) for k in table.argmin_indices()]
 print(f"\nexhaustive minimum over 2^{model.n_vars} assignments: {table.minimum()}")
 print(f"{len(argmins)} optimal assignments; distinct vertex projections:")

@@ -210,10 +210,19 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
+def _sweep_workers(args) -> int:
+    """--workers, else the TDS_QAOA_WORKERS variable, else 1; run_sweep checks the range."""
+    if args.workers is not None:
+        return args.workers
+    text = os.environ.get("TDS_QAOA_WORKERS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"TDS_QAOA_WORKERS must be an integer, got {text!r}") from None
+
+
 def _cmd_sweep(args) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("TDS_QAOA_WORKERS", "1"))
+    workers = _sweep_workers(args)
     base = RunConfig(
         graph_source=args.graph,
         seed=args.seed,

@@ -24,14 +24,14 @@ import pathlib
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .graphs import Graph, load_graph, subset_table
 # perfbench/tracer.py wraps these two names where harness binds them.
 from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
-from .ising import bits_to_index, build_energy_table, index_to_bits
+from .ising import build_energy_table, index_to_bits
 from .optimize import (
     OptimizerConfig,
     OptimizationTrace,
@@ -121,9 +121,9 @@ class RunResult:
     The vertex distributions are dense arrays indexed like bit strings
     (vertex 0 is the most significant bit): exact_probabilities is the
     normalized exact marginal, vertex_counts the sampled shots per vertex
-    string. top_k and the bit-string-keyed views are built from them on
-    first use; the descending order of exact_probabilities is taken once and
-    shared by top_k (in exact mode) and distribution.csv.
+    string. top_k and the bit-string-keyed exact_marginal are built from them
+    on first use; the descending order of exact_probabilities is taken once
+    and shared by top_k (in exact mode) and distribution.csv.
     """
 
     config: RunConfig
@@ -156,24 +156,13 @@ class RunResult:
 
     @cached_property
     def exact_marginal(self) -> dict[str, float]:
-        return dict(zip(self._all_bit_strings(), self.exact_probabilities.tolist()))
-
-    @cached_property
-    def sampled_marginal(self) -> dict[str, float]:
-        return dict(zip(self._all_bit_strings(), (self.vertex_counts / self.vertex_counts.sum()).tolist()))
-
-    @cached_property
-    def sampled_counts(self) -> dict[str, int]:
-        """Shot count per vertex string sampled at least once."""
-        seen = np.flatnonzero(self.vertex_counts)
-        return dict(zip(_bit_strings(seen, self._n_vertices), self.vertex_counts[seen].tolist()))
+        """exact_probabilities keyed by vertex bit string, in index order."""
+        bits = _bit_strings(np.arange(len(self.exact_probabilities)), self._n_vertices)
+        return dict(zip(bits, self.exact_probabilities.tolist()))
 
     @property
     def _n_vertices(self) -> int:
         return len(self.exact_probabilities).bit_length() - 1
-
-    def _all_bit_strings(self) -> list[str]:
-        return _bit_strings(np.arange(len(self.exact_probabilities)), self._n_vertices)
 
     def to_dict(self) -> dict:
         return {
@@ -213,12 +202,6 @@ class RunResult:
             counts = repr(self.vertex_counts[block].tolist())[1:-1].split(", ")
             fh.write("\r\n".join(map(",".join, zip(bits, probs, counts))) + "\r\n")
 
-    def distribution_csv(self) -> str:
-        """The distribution.csv text; see write_distribution_csv."""
-        out = io.StringIO()
-        self.write_distribution_csv(out)
-        return out.getvalue()
-
 
 def _descending(probs: np.ndarray) -> np.ndarray:
     """Indices by descending probability; ties keep ascending bit strings."""
@@ -231,28 +214,16 @@ def _bit_strings(indices: np.ndarray, n: int) -> list[str]:
     return (digits.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
-def _vertex_probabilities(dist: np.ndarray | Mapping[str, float], n: int) -> np.ndarray:
-    if not isinstance(dist, Mapping):
-        probs = np.asarray(dist, dtype=np.float64)
-        if probs.shape != (1 << n,):
-            raise ValueError(f"expected {1 << n} vertex-subset probabilities, got shape {probs.shape}")
-        return probs
-    probs = np.zeros(1 << n)
-    for bits, p in dist.items():
-        if len(bits) != n or bits.strip("01"):
-            raise ValueError(f"expected a {n}-character 0/1 vertex string, got {bits!r}")
-        probs[bits_to_index(bits)] = p
-    return probs
-
-
-def compute_metrics(dist: np.ndarray | Mapping[str, float], g: Graph) -> Metrics:
+def compute_metrics(dist: np.ndarray, g: Graph) -> Metrics:
     """Score a normalized vertex distribution against the exact subset table.
 
     dist is a dense array over the 2^|V| vertex subsets, indexed like bit
-    strings (vertex 0 is the most significant bit), or a map from |V|-character
-    bit strings to probability in which absent strings have probability 0.
+    strings (vertex 0 is the most significant bit).
     """
-    probs = _vertex_probabilities(dist, g.n_vertices)
+    probs = np.asarray(dist, dtype=np.float64)
+    size = 1 << g.n_vertices
+    if probs.shape != (size,):
+        raise ValueError(f"expected {size} vertex-subset probabilities, got shape {probs.shape}")
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"distribution is not normalized: total mass {total}")
@@ -268,14 +239,14 @@ def compute_metrics(dist: np.ndarray | Mapping[str, float], g: Graph) -> Metrics
     )
 
 
-def _child_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence([seed % (1 << 63), tag]).generate_state(1)[0])
+def derive_seed(base: int, *tags: int) -> int:
+    """Deterministic 32-bit seed from a base seed and integer tags.
 
-
-def derive_cell_seed(base_seed: int, q: int, penalty: float, maxiter: int, replicate: int) -> int:
-    """Deterministic per-cell seed for sweep replicates."""
-    entropy = [base_seed % (1 << 63), q, int(round(penalty * 1e6)), maxiter, replicate]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    run_single derives its optimizer, sampler and estimator seeds with tags 1,
+    2 and 3; run_sweep derives each replicate's seed from
+    (q, round(P * 1e6), maxiter, replicate).
+    """
+    return int(np.random.SeedSequence([base % (1 << 63), *tags]).generate_state(1)[0])
 
 
 def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
@@ -295,7 +266,7 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
         max_iterations=config.max_iterations,
         bounds=angle_bounds(q),
         function_tolerance=config.function_tolerance,
-        seed=_child_seed(config.seed, 1),
+        seed=derive_seed(config.seed, 1),
     )
 
     if config.objective_shots is None:
@@ -303,7 +274,7 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
             state = evolve(table, AngleSchedule.from_vector(x))
             return expectation(state, table)
     else:
-        estimator_rng = np.random.default_rng(_child_seed(config.seed, 3))
+        estimator_rng = np.random.default_rng(derive_seed(config.seed, 3))
 
         def objective(x: np.ndarray) -> float:
             state = evolve(table, AngleSchedule.from_vector(x))
@@ -318,7 +289,7 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
     n_vertex = model.registry.n_vertex_vars
     probs = final_state.probabilities()
     exact = marginalize_vertices(probs, n_vertex) / probs.sum()
-    shot_counts = sample(final_state, config.shots, _child_seed(config.seed, 2))
+    shot_counts = sample(final_state, config.shots, derive_seed(config.seed, 2))
     counts = marginalize_vertices(shot_counts, n_vertex)
     scored = exact if config.exact_metrics else counts / counts.sum()
     metrics = compute_metrics(scored, g)
@@ -410,12 +381,21 @@ def run_sweep(
 
     One row per (cell, replicate); one summary per cell aggregating over
     replicates. base.seed is the sweep-level seed from which every replicate
-    seed is derived. A bad file, an infeasible graph or a bad grid value
-    raises before any cell runs; a cell that fails while running gets its
-    error in the row's error column and does not stop the sweep.
+    seed is derived. A bad file, an infeasible graph, a bad or repeated grid
+    value, or a bad n_seeds or workers raises before any cell runs; a cell
+    that fails while running gets its error in the row's error column and
+    does not stop the sweep.
     """
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    for name, value in (("n_seeds", n_seeds), ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    for name, values in (
+        ("layer_values", layer_values),
+        ("multiplier_values", multiplier_values),
+        ("maxiter_values", maxiter_values),
+    ):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} repeats a value: {list(values)}")
     g = load_graph(base.graph_source)
     # An infeasible graph fails the whole sweep, as it fails run_single.
     compile_tdp_qubo(g, base.resolve_penalty(g))
@@ -427,9 +407,9 @@ def run_sweep(
     ]
     tasks = []
     for config in grid:
-        penalty = config.resolve_penalty(g)
+        p_tag = round(config.resolve_penalty(g) * 1e6)
         for r in range(n_seeds):
-            seed = derive_cell_seed(base.seed, config.layers_q, penalty, config.max_iterations, r)
+            seed = derive_seed(base.seed, config.layers_q, p_tag, config.max_iterations, r)
             tasks.append((replace(config, seed=seed), g, r))
     if workers > 1 and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .graphs import Graph, InfeasibleGraphError, degree_partition
 
@@ -59,6 +58,8 @@ class QuboModel:
 
     quadratic keys are ordered pairs (i, j) with i < j; squares have been
     folded into the linear map via x^2 = x. Treat instances as immutable.
+    build_energy_table evaluates it at every assignment; to_json is the
+    `compile` command's output.
     """
 
     n_vars: int
@@ -67,19 +68,6 @@ class QuboModel:
     quadratic: dict[tuple[int, int], float]
     penalty: float
     registry: VariableRegistry = field(repr=False)
-
-    def evaluate(self, x: Sequence[int]) -> float:
-        """Value of the polynomial at a 0/1 assignment of length n_vars."""
-        if len(x) != self.n_vars:
-            raise ValueError(f"assignment has length {len(x)}, expected {self.n_vars}")
-        total = self.constant
-        for i, c in self.linear.items():
-            if x[i]:
-                total += c
-        for (i, j), c in self.quadratic.items():
-            if x[i] and x[j]:
-                total += c
-        return total
 
     def to_dict(self) -> dict:
         return {
@@ -99,30 +87,8 @@ class QuboModel:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "QuboModel":
-        registry = VariableRegistry(
-            n_vertex_vars=data["n_vertex_vars"],
-            slack_groups=tuple(
-                SlackGroup(g["vertex"], tuple(g["indices"]), tuple(g["coefficients"]))
-                for g in data["slack_groups"]
-            ),
-        )
-        return cls(
-            n_vars=data["n_vars"],
-            constant=float(data["constant"]),
-            linear={int(i): float(c) for i, c in data["linear"]},
-            quadratic={(int(i), int(j)): float(c) for i, j, c in data["quadratic"]},
-            penalty=float(data["penalty"]),
-            registry=registry,
-        )
-
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuboModel":
-        return cls.from_dict(json.loads(text))
 
 
 def slack_coefficients(n: int) -> list[int]:

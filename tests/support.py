@@ -1,15 +1,29 @@
-"""Shared test helpers: random graphs and independent reference oracles."""
+"""Shared test helpers: random graphs and independent reference oracles.
+
+The term-by-term QUBO evaluation and the spin picture live here as references
+for the energy table; the package itself evaluates a model only through
+build_energy_table.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from tds_qaoa import Graph, InfeasibleGraphError, StateVector, index_to_bits, is_total_dominating_set
+from tds_qaoa import (
+    Graph,
+    InfeasibleGraphError,
+    QuboModel,
+    StateVector,
+    index_to_bits,
+    is_total_dominating_set,
+)
 from tds_qaoa.graphs import MAX_TABLE_BITS
 
 # Minimum total dominating sets of the bundled 6-node benchmark graph.
@@ -185,7 +199,62 @@ def metrics_reference(probs: np.ndarray, g: Graph) -> tuple[float, float, str, b
     return correct, optimal, z_star, z_is_tds, z_is_tds and len(z_set) == min_size
 
 
-def qubo_min_bruteforce(m) -> tuple[float, list[tuple[int, ...]]]:
+def qubo_evaluate(m: QuboModel, x: Sequence[int]) -> float:
+    """Value of the model's polynomial at a 0/1 assignment of length n_vars, term by term."""
+    if len(x) != m.n_vars:
+        raise ValueError(f"assignment has length {len(x)}, expected {m.n_vars}")
+    total = m.constant
+    for i, c in m.linear.items():
+        if x[i]:
+            total += c
+    for (i, j), c in m.quadratic.items():
+        if x[i] and x[j]:
+            total += c
+    return total
+
+
+@dataclass(frozen=True)
+class SpinModel:
+    """Ising form: offset + sum_i h_i s_i + sum_{i<j} J_ij s_i s_j."""
+
+    n_vars: int
+    offset: float
+    fields_h: dict[int, float]
+    couplings_J: dict[tuple[int, int], float]
+
+    def energy(self, s: Sequence[int]) -> float:
+        """Energy at a spin assignment with entries in {-1, +1}."""
+        if len(s) != self.n_vars:
+            raise ValueError(f"spin vector has length {len(s)}, expected {self.n_vars}")
+        total = self.offset
+        for i, h in self.fields_h.items():
+            total += h * s[i]
+        for (i, j), jij in self.couplings_J.items():
+            total += jij * s[i] * s[j]
+        return total
+
+
+def qubo_to_spin(m: QuboModel) -> SpinModel:
+    """Spin picture of a QUBO: substitute x_i = (s_i + 1)/2 and expand; s_i^2 = 1 folds into offset."""
+    offset = m.constant
+    fields: dict[int, float] = {}
+    couplings: dict[tuple[int, int], float] = {}
+
+    for i, c in m.linear.items():
+        offset += c / 2.0
+        fields[i] = fields.get(i, 0.0) + c / 2.0
+    for (i, j), c in m.quadratic.items():
+        offset += c / 4.0
+        fields[i] = fields.get(i, 0.0) + c / 4.0
+        fields[j] = fields.get(j, 0.0) + c / 4.0
+        couplings[(i, j)] = couplings.get((i, j), 0.0) + c / 4.0
+
+    fields = {i: h for i, h in sorted(fields.items()) if h != 0.0}
+    couplings = {k: jij for k, jij in sorted(couplings.items()) if jij != 0.0}
+    return SpinModel(m.n_vars, offset, fields, couplings)
+
+
+def qubo_min_bruteforce(m: QuboModel) -> tuple[float, list[tuple[int, ...]]]:
     """Exhaustive minimum over all 2^n_vars assignments, with all argmins.
 
     Ground-truth oracle; assignments are returned as 0/1 tuples in variable
@@ -197,7 +266,7 @@ def qubo_min_bruteforce(m) -> tuple[float, list[tuple[int, ...]]]:
     argmins: list[tuple[int, ...]] = []
     for k in range(1 << m.n_vars):
         x = tuple((k >> (m.n_vars - 1 - i)) & 1 for i in range(m.n_vars))
-        value = m.evaluate(x)
+        value = qubo_evaluate(m, x)
         if value < best:
             best = value
             argmins = [x]
@@ -209,6 +278,13 @@ def qubo_min_bruteforce(m) -> tuple[float, list[tuple[int, ...]]]:
 def reference_bit_strings(n: int) -> list[str]:
     """Every n-character vertex string in index order, one index_to_bits call each."""
     return [index_to_bits(k, n) for k in range(1 << n)]
+
+
+def distribution_csv_text(result) -> str:
+    """The distribution.csv text that RunResult.write_distribution_csv writes."""
+    out = io.StringIO()
+    result.write_distribution_csv(out)
+    return out.getvalue()
 
 
 def reference_distribution_csv(result) -> str:

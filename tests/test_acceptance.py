@@ -30,6 +30,7 @@ from support import (
     PAPER6_MIN_TDS,
     all_assignments,
     dense_evolve_oracle,
+    qubo_evaluate,
     qubo_min_bruteforce,
     random_graph,
     random_graph_min_degree,
@@ -56,7 +57,7 @@ def test_criterion_1_ground_truth_qubo_optimum():
 def test_criterion_2_term_structure_reproduction():
     model = compile_tdp_qubo(builtin_instance(), 9.0)
     max_diff = max(
-        abs(model.evaluate(x) - reference_paper6_qubo(x, 9.0)) for x in all_assignments(10)
+        abs(qubo_evaluate(model, x) - reference_paper6_qubo(x, 9.0)) for x in all_assignments(10)
     )
     report(2, max_diff == 0.0, f"10 variables, max |compiled - reference| = {max_diff} over 2^10 points")
 
@@ -196,8 +197,8 @@ def test_criterion_8_metric_consistency():
     ]
     for config in configs:
         result = run_single(config, graph=graph)
-        exact = compute_metrics(result.exact_marginal, graph)
-        sampled = compute_metrics(result.sampled_marginal, graph)
+        exact = compute_metrics(result.exact_probabilities, graph)
+        sampled = compute_metrics(result.vertex_counts / result.vertex_counts.sum(), graph)
         worst = max(
             worst,
             abs(exact.correct_probability - sampled.correct_probability),

@@ -1,10 +1,11 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark still finds every name it wraps, calls and reads.
 
 perfbench/tracer.py replaces module attributes such as tds_qaoa.harness.evolve
-with timing wrappers. A refactor that unbinds one of those names breaks the
-benchmark, not the package, so this test installs the full tracer on a small
-CLI run and checks that the spans the benchmark reads were recorded. It only
-reads from perfbench/.
+with timing wrappers, and perfbench/worker.py calls the package and reads
+fields of its results. A refactor that unbinds or deletes one of those names
+breaks the benchmark, not the package, so these tests install the full tracer
+on a small CLI run and run the worker's headline cell. They only read from
+perfbench/.
 """
 
 import pathlib
@@ -18,12 +19,23 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
-def tracer_module(monkeypatch):
+def perfbench_path(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+
+@pytest.fixture
+def tracer_module(perfbench_path):
     import tracer
 
     return tracer
+
+
+@pytest.fixture
+def worker_module(perfbench_path):
+    import worker
+
+    return worker
 
 
 def test_full_tracer_records_run_spans(tracer_module, tmp_path):
@@ -44,3 +56,11 @@ def test_full_tracer_records_run_spans(tracer_module, tmp_path):
     assert counts.get("harness.bytes_written", 0) > 0
     metrics = tracer_module.layer_metrics(spans, counts, values)
     assert metrics["harness.bytes_written"] == counts["harness.bytes_written"]
+
+
+def test_worker_headline_cell(worker_module):
+    worker_module.warm_up()
+    (cell,) = worker_module.headline_cells([0], 1)
+    assert "error" not in cell, cell.get("error")
+    assert len(cell["exact_marginal"]) == 64
+    assert abs(sum(cell["exact_marginal"].values()) - 1.0) <= 1e-9

@@ -170,7 +170,10 @@ class TestSweep:
         (["--P-mult-list", "0", "1.5"], "penalty_multiplier"),
         (["--P-mult-list", "nan", "1.5"], "penalty_multiplier"),
         (["--seeds", "0"], "n_seeds"),
-    ], ids=["q-0", "maxiter-0", "p-mult-0", "p-mult-nan", "seeds-0"])
+        (["--workers", "0"], "workers"),
+        (["--workers", "-3"], "workers"),
+        (["--q-list", "1", "1"], "layer_values"),
+    ], ids=["q-0", "maxiter-0", "p-mult-0", "p-mult-nan", "seeds-0", "workers-0", "workers-neg", "q-repeated"])
     def test_bad_grid_value_exits_before_the_grid(self, edge_graph, capsys, monkeypatch, flags, field):
         def no_cell_may_run(*args, **kwargs):
             raise AssertionError("a cell ran")
@@ -193,6 +196,18 @@ class TestSweep:
             "--P-mult-list", "1.5", "--maxiter-list", "5", "--shots", "100",
         ])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_workers_env_not_an_integer(self, edge_graph, capsys, monkeypatch, value):
+        monkeypatch.setenv("TDS_QAOA_WORKERS", value)
+        code = cli_entry([
+            "sweep", "--graph", edge_graph, "--q-list", "1",
+            "--P-mult-list", "1.5", "--maxiter-list", "5", "--shots", "100",
+        ])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"TDS_QAOA_WORKERS must be an integer, got {value!r}" in captured.err
+        assert "cells:" not in captured.out
 
 
 class TestUsageErrors:

@@ -8,6 +8,7 @@ from tds_qaoa import (
     AngleSchedule,
     Graph,
     InfeasibleGraphError,
+    Metrics,
     OptimizationTrace,
     RunConfig,
     RunResult,
@@ -21,12 +22,13 @@ from tds_qaoa import (
 from tds_qaoa import harness
 from tds_qaoa.harness import (
     ROW_FIELDS,
-    derive_cell_seed,
+    derive_seed,
     write_run_outputs,
     write_sweep_outputs,
 )
 from support import (
     PAPER6_MIN_TDS,
+    distribution_csv_text,
     metrics_reference,
     random_graph,
     reference_bit_strings,
@@ -46,20 +48,27 @@ def edge_graph_path(tmp_path):
     return str(path)
 
 
+def point_mass(bits, mass=1.0):
+    """Dense vertex distribution with `mass` on one bit string and 0 elsewhere."""
+    probs = np.zeros(1 << len(bits))
+    probs[int(bits, 2)] = mass
+    return probs
+
+
 def uniform_dist(n_vertex):
-    return {format(v, f"0{n_vertex}b"): 1.0 / (1 << n_vertex) for v in range(1 << n_vertex)}
+    return np.full(1 << n_vertex, 1.0 / (1 << n_vertex))
 
 
 class TestComputeMetrics:
     def test_point_mass_on_minimal_tds(self, paper6):
-        met = compute_metrics({"100011": 1.0}, paper6)
+        met = compute_metrics(point_mass("100011"), paper6)
         assert met.correct_probability == pytest.approx(1.0)
         assert met.optimal_probability == pytest.approx(1.0)
         assert met.z_star == "100011"
         assert met.z_star_is_tds and met.z_star_is_minimal_tds
 
     def test_point_mass_on_full_set(self, paper6):
-        met = compute_metrics({"111111": 1.0}, paper6)
+        met = compute_metrics(point_mass("111111"), paper6)
         assert met.correct_probability == pytest.approx(1.0)
         assert met.optimal_probability == pytest.approx(0.0)
         assert met.z_star_is_tds and not met.z_star_is_minimal_tds
@@ -79,21 +88,22 @@ class TestComputeMetrics:
 
     def test_unnormalized_rejected(self, paper6):
         with pytest.raises(ValueError, match="normalized"):
-            compute_metrics({"100011": 0.5}, paper6)
+            compute_metrics(point_mass("100011", 0.5), paper6)
 
     def test_dense_array_input(self, paper6):
         probs = np.zeros(64)
         probs[0b100011] = 1.0
-        assert compute_metrics(probs, paper6) == compute_metrics({"100011": 1.0}, paper6)
+        expected = Metrics(1.0, 1.0, "100011", True, True)
+        assert compute_metrics(probs, paper6) == compute_metrics(probs.tolist(), paper6) == expected
 
-    @pytest.mark.parametrize("dist", [{"10001": 1.0}, {"1000110": 1.0}, {"10001x": 1.0}, np.ones(32) / 32])
+    @pytest.mark.parametrize("dist", [np.ones(32) / 32, np.ones(128) / 128, np.ones((8, 8)) / 64, np.array(1.0)])
     def test_wrong_shape_rejected(self, paper6, dist):
         with pytest.raises(ValueError, match="expected"):
             compute_metrics(dist, paper6)
 
     def test_infeasible_graph_raises(self):
         with pytest.raises(InfeasibleGraphError):
-            compute_metrics({"111": 1.0}, Graph(3, [(0, 1)]))
+            compute_metrics(point_mass("111"), Graph(3, [(0, 1)]))
 
     def test_matches_per_string_reference(self):
         rng = np.random.default_rng(19)
@@ -144,10 +154,8 @@ class TestRunSingle:
     def test_exact_and_sampled_marginals_close(self):
         config = RunConfig(layers_q=2, penalty=9.0, max_iterations=60, seed=4)
         result = run_single(config)
-        tv = 0.5 * sum(
-            abs(result.exact_marginal[b] - result.sampled_marginal.get(b, 0.0))
-            for b in result.exact_marginal
-        )
+        counts = result.vertex_counts
+        tv = 0.5 * np.abs(result.exact_probabilities - counts / counts.sum()).sum()
         assert tv < 0.05
 
     def test_sampled_metric_mode(self):
@@ -155,7 +163,7 @@ class TestRunSingle:
             layers_q=2, penalty=9.0, max_iterations=60, seed=4, exact_metrics=False
         )
         result = run_single(config)
-        assert sum(result.sampled_counts.values()) == config.shots
+        assert result.vertex_counts.sum() == config.shots
 
     def test_shot_based_objective_mode(self):
         config = RunConfig(
@@ -234,7 +242,7 @@ class TestRunOutputsAgainstReference:
     def test_distribution_csv_bytes(self, output_results, name):
         result = output_results[name]
         expected = reference_distribution_csv(result).encode()
-        assert result.distribution_csv().encode() == expected
+        assert distribution_csv_text(result).encode() == expected
 
     @pytest.mark.parametrize("name", OUTPUT_CASES)
     def test_written_file_bytes(self, output_results, name, tmp_path):
@@ -247,16 +255,13 @@ class TestRunOutputsAgainstReference:
         monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", block_rows)
         for name in ("paper6-exact", "tied"):
             result = output_results[name]
-            assert result.distribution_csv() == reference_distribution_csv(result)
+            assert distribution_csv_text(result) == reference_distribution_csv(result)
 
     @pytest.mark.parametrize("name", OUTPUT_CASES)
     def test_dict_views(self, output_results, name):
         result = output_results[name]
         bits = reference_bit_strings(len(result.exact_probabilities).bit_length() - 1)
-        probs, counts = result.exact_probabilities, result.vertex_counts
-        assert list(result.exact_marginal.items()) == list(zip(bits, probs.tolist()))
-        assert list(result.sampled_marginal.items()) == list(zip(bits, (counts / counts.sum()).tolist()))
-        assert list(result.sampled_counts.items()) == [(b, c) for b, c in zip(bits, counts.tolist()) if c]
+        assert list(result.exact_marginal.items()) == list(zip(bits, result.exact_probabilities.tolist()))
 
     @pytest.mark.parametrize("name", OUTPUT_CASES)
     def test_top_k(self, output_results, name):
@@ -334,7 +339,7 @@ class TestRunSweep:
                         penalty = m * paper6.n_vertices
                         config = replace(
                             base, layers_q=q, penalty=penalty, penalty_multiplier=None,
-                            max_iterations=it, seed=derive_cell_seed(base.seed, q, penalty, it, r),
+                            max_iterations=it, seed=derive_seed(base.seed, q, round(penalty * 1e6), it, r),
                         )
                         direct = run_single(config)
                         expected.append({
@@ -366,18 +371,24 @@ class TestRunSweep:
         assert len(result.rows) == 8
         assert sources == [edge_graph_path]
 
-    @pytest.mark.parametrize("source, grid, n_seeds, error, match", [
-        ("missing", {}, 1, FileNotFoundError, "missing.txt"),
-        ("edge", {"layer_values": (1, 0)}, 1, ValueError, "layers_q"),
-        ("edge", {"maxiter_values": (5, 0)}, 1, ValueError, "max_iterations"),
-        ("edge", {"multiplier_values": (0.0, 1.5)}, 1, ValueError, "penalty_multiplier"),
-        ("edge", {"multiplier_values": (float("nan"), 1.5)}, 1, ValueError, "penalty_multiplier"),
-        ("edge", {}, 0, ValueError, "n_seeds"),
-        ("edge", {}, -2, ValueError, "n_seeds"),
-    ], ids=["missing-file", "q-0", "maxiter-0", "mult-0", "mult-nan", "seeds-0", "seeds-neg"])
-    def test_bad_input_raises_before_any_cell(
-        self, tmp_path, monkeypatch, source, grid, n_seeds, error, match,
-    ):
+    @pytest.mark.parametrize("source, options, error, match", [
+        ("missing", {}, FileNotFoundError, "missing.txt"),
+        ("edge", {"layer_values": (1, 0)}, ValueError, "layers_q"),
+        ("edge", {"maxiter_values": (5, 0)}, ValueError, "max_iterations"),
+        ("edge", {"multiplier_values": (0.0, 1.5)}, ValueError, "penalty_multiplier"),
+        ("edge", {"multiplier_values": (float("nan"), 1.5)}, ValueError, "penalty_multiplier"),
+        ("edge", {"n_seeds": 0}, ValueError, "n_seeds"),
+        ("edge", {"n_seeds": -2}, ValueError, "n_seeds"),
+        ("edge", {"layer_values": (1, 1)}, ValueError, r"layer_values repeats a value: \[1, 1\]"),
+        ("edge", {"multiplier_values": (1.5, 1.0, 1.5)}, ValueError, "multiplier_values repeats"),
+        ("edge", {"maxiter_values": (5, 5)}, ValueError, "maxiter_values repeats"),
+        ("edge", {"workers": 0}, ValueError, "workers must be at least 1, got 0"),
+        ("edge", {"workers": -3}, ValueError, "workers must be at least 1, got -3"),
+    ], ids=[
+        "missing-file", "q-0", "maxiter-0", "mult-0", "mult-nan", "seeds-0", "seeds-neg",
+        "q-repeated", "mult-repeated", "maxiter-repeated", "workers-0", "workers-neg",
+    ])
+    def test_bad_input_raises_before_any_cell(self, tmp_path, monkeypatch, source, options, error, match):
         def no_cell_may_run(*args, **kwargs):
             raise AssertionError("a cell ran")
 
@@ -385,10 +396,13 @@ class TestRunSweep:
         path = tmp_path / f"{source}.txt"
         if source == "edge":
             path.write_text("2 1\n0 1\n")
-        grid = {"layer_values": (1,), "multiplier_values": (1.5,), "maxiter_values": (5,), **grid}
+        options = {
+            "layer_values": (1,), "multiplier_values": (1.5,), "maxiter_values": (5,),
+            "n_seeds": 1, "workers": 1, **options,
+        }
         base = RunConfig(graph_source=str(path), seed=0, shots=100)
         with pytest.raises(error, match=match):
-            run_sweep(base, n_seeds=n_seeds, workers=1, **grid)
+            run_sweep(base, **options)
 
     def test_csv_outputs(self, tmp_path, edge_graph_path):
         base = RunConfig(graph_source=edge_graph_path, seed=0, shots=500)
@@ -408,7 +422,18 @@ class TestRunSweep:
         assert self._strip_timing(serial.rows) == self._strip_timing(parallel.rows)
 
     def test_cell_seed_derivation_stable(self):
-        a = derive_cell_seed(0, 5, 9.0, 500, 0)
-        assert a == derive_cell_seed(0, 5, 9.0, 500, 0)
-        assert a != derive_cell_seed(0, 5, 9.0, 500, 1)
-        assert a != derive_cell_seed(1, 5, 9.0, 500, 0)
+        a = derive_seed(0, 5, 9_000_000, 500, 0)
+        assert a == derive_seed(0, 5, 9_000_000, 500, 0)
+        assert a != derive_seed(0, 5, 9_000_000, 500, 1)
+        assert a != derive_seed(1, 5, 9_000_000, 500, 0)
+
+    def test_derived_seeds_are_pinned(self):
+        # Every seeded output depends on these values.
+        run_tags = [derive_seed(base, tag) for base in (0, 5, -1, 2**63 + 3) for tag in (1, 2, 3)]
+        assert run_tags == [
+            3964924996, 3141116543, 2613022947, 3796490668, 3226123765, 727168946,
+            1845838412, 1038170047, 902460989, 457190280, 960329833, 4253259675,
+        ]
+        assert derive_seed(0, 5, round(9.0 * 1e6), 500, 0) == 917145495
+        assert derive_seed(7, 2, round(4.8 * 1e6), 50, 1) == 3043799356
+        assert derive_seed(-3, 20, round(7.199999999 * 1e6), 200, 2) == 1207217089

@@ -4,6 +4,7 @@ Every test is derandomized, so a run draws the same examples each time.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,13 +20,15 @@ from tds_qaoa import (
     parse_graph,
     qubit_counts,
 )
-from support import reference_evolve
+from support import all_assignments, qubo_evaluate, qubo_to_spin, reference_evolve
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 # Graphs whose encoding needs more qubits are skipped: dense 8-vertex graphs
 # need up to 32, and at 16 a table builds in milliseconds.
 MAX_GRAPH_QUBITS = 16
+# The term-by-term references evaluate one assignment per Python call.
+MAX_REFERENCE_QUBITS = 12
 
 
 @st.composite
@@ -118,3 +121,16 @@ def test_vertex_marginal_sums_to_one(g, schedule):
     table = build_energy_table(compile_tdp_qubo(g, 1.5 * g.n_vertices))
     marginal = marginalize_vertices(evolve(table, schedule).probabilities(), g.n_vertices)
     assert abs(marginal.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [9.0, 4.8])
+@DETERMINISTIC
+@given(g=graphs_without_isolated_vertices())
+def test_term_by_term_references_match_energy_table(p, g):
+    assume(qubit_counts(g)[0] <= MAX_REFERENCE_QUBITS)
+    model = compile_tdp_qubo(g, p)
+    energies = build_energy_table(model).energies
+    spin = qubo_to_spin(model)
+    for k, x in enumerate(all_assignments(model.n_vars)):
+        assert abs(qubo_evaluate(model, x) - energies[k]) <= 1e-9
+        assert abs(spin.energy([2 * b - 1 for b in x]) - energies[k]) <= 1e-9
