@@ -2,8 +2,9 @@
 
 The cost operator of a QUBO is diagonal in the computational basis, so the
 whole Hamiltonian is just the array of energies per basis state: the
-compiled polynomial evaluated at every 0/1 assignment. Bit strings read left
-to right as vertex 0..n-1, then the slack variables.
+compiled polynomial's value at every 0/1 assignment, which for the TDP QUBO
+is |D| + P * (covering-constraint violations). Bit strings read left to right
+as vertex 0..n-1, then the slack variables.
 """
 
 import numpy as np

@@ -299,11 +299,7 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
         penalty=penalty,
         optimized_schedule=best_schedule,
         trace=trace,
-        z_star=metrics.z_star,
-        z_star_is_tds=metrics.z_star_is_tds,
-        z_star_is_minimal_tds=metrics.z_star_is_minimal_tds,
-        correct_probability=metrics.correct_probability,
-        optimal_probability=metrics.optimal_probability,
+        **asdict(metrics),
         exact_probabilities=exact,
         vertex_counts=counts,
         runtime_ms=(time.perf_counter() - start) * 1e3,
@@ -318,20 +314,8 @@ class SweepResult:
     n_cells_tds: int
     n_cells_min_tds: int
 
-    def rows_csv(self) -> str:
-        return _dicts_to_csv(self.rows, ROW_FIELDS)
-
-    def summary_csv(self) -> str:
-        return _dicts_to_csv(self.summaries, SUMMARY_FIELDS)
-
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "summaries": self.summaries,
-            "n_cells": self.n_cells,
-            "n_cells_tds": self.n_cells_tds,
-            "n_cells_min_tds": self.n_cells_min_tds,
-        }
+        return asdict(self)
 
 
 def _dicts_to_csv(rows: list[dict], fields: tuple[str, ...]) -> str:
@@ -382,9 +366,9 @@ def run_sweep(
     One row per (cell, replicate); one summary per cell aggregating over
     replicates. base.seed is the sweep-level seed from which every replicate
     seed is derived. A bad file, an infeasible graph, a bad or repeated grid
-    value, or a bad n_seeds or workers raises before any cell runs; a cell
-    that fails while running gets its error in the row's error column and
-    does not stop the sweep.
+    value, a penalty too large for exact energies, or a bad n_seeds or workers
+    raises before any cell runs; a cell that fails while running gets its
+    error in the row's error column and does not stop the sweep.
     """
     for name, value in (("n_seeds", n_seeds), ("workers", workers)):
         if value < 1:
@@ -397,14 +381,16 @@ def run_sweep(
         if len(set(values)) != len(values):
             raise ValueError(f"{name} repeats a value: {list(values)}")
     g = load_graph(base.graph_source)
-    # An infeasible graph fails the whole sweep, as it fails run_single.
-    compile_tdp_qubo(g, base.resolve_penalty(g))
     grid = [
         replace(base, layers_q=q, penalty=None, penalty_multiplier=m, max_iterations=it)
         for q in layer_values
         for m in multiplier_values
         for it in maxiter_values
     ]
+    # An infeasible graph or a penalty too large for exact energies fails the
+    # whole sweep, as it fails run_single, before any seed is derived.
+    for penalty in dict.fromkeys(config.resolve_penalty(g) for config in grid):
+        compile_tdp_qubo(g, penalty)
     tasks = []
     for config in grid:
         p_tag = round(config.resolve_penalty(g) * 1e6)
@@ -463,6 +449,6 @@ def write_sweep_outputs(result: SweepResult, out_dir) -> None:
     """Write rows.csv, summary.csv, and sweep.json into out_dir."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "rows.csv").write_text(result.rows_csv())
-    (out / "summary.csv").write_text(result.summary_csv())
+    (out / "rows.csv").write_text(_dicts_to_csv(result.rows, ROW_FIELDS))
+    (out / "summary.csv").write_text(_dicts_to_csv(result.summaries, SUMMARY_FIELDS))
     (out / "sweep.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")

@@ -1,8 +1,8 @@
-"""The diagonal cost Hamiltonian of a QUBO model as an energy table.
+"""The diagonal cost Hamiltonian of a compiled TDP model as an energy table.
 
 The cost Hamiltonian is diagonal in the computational basis, so it is
 materialized as the plain array of QUBO energies per basis state; no operator
-algebra is needed downstream.
+algebra is needed downstream. Each energy is |D| + P * violations.
 
 Bit convention: displayed bit strings read left to right as variable
 0, 1, ..., n-1, and the basis-state integer of assignment x is
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import MAX_TABLE_BITS
+from .graphs import MAX_TABLE_BITS, subset_table
 from .qubo import QuboModel
 
 
@@ -63,19 +63,29 @@ class EnergyTable:
 
 
 def build_energy_table(m: QuboModel) -> EnergyTable:
-    """Materialize the diagonal Hamiltonian: energies[k] = model value at bits(k)."""
+    """Materialize the diagonal Hamiltonian exactly: energies = |D| + P * violations.
+
+    Vertex bits lead each basis index, so the table is a (2^|V|, 2^slack) grid.
+    |D| and the violations are integers; only P * violations can round.
+    """
     n = m.n_vars
     if n > MAX_TABLE_BITS:
         raise ValueError(f"energy table limited to {MAX_TABLE_BITS} variables, got {n}")
-    size = 1 << n
-    index = np.arange(size, dtype=np.int64)
-
-    def bit_column(i: int) -> np.ndarray:
-        return ((index >> (n - 1 - i)) & 1).astype(np.float64)
-
-    energies = np.full(size, m.constant, dtype=np.float64)
-    for i, c in sorted(m.linear.items()):
-        energies += c * bit_column(i)
-    for (i, j), c in sorted(m.quadratic.items()):
-        energies += c * (bit_column(i) * bit_column(j))
-    return EnergyTable(n, energies)
+    g = m.graph
+    n_slack = n - g.n_vertices
+    sizes = subset_table(g).sizes
+    subsets = np.arange(len(sizes), dtype=np.int32)
+    slack_bits = (np.arange(1 << n_slack)[:, None] >> np.arange(n_slack - 1, -1, -1)) & 1
+    groups = {grp.vertex: grp for grp in m.registry.slack_groups}
+    violations = np.zeros((len(sizes), 1 << n_slack), dtype=np.int16)
+    for i in range(g.n_vertices):
+        hits = sizes[subsets & sum(1 << (g.n_vertices - 1 - j) for j in g.neighbors(i))]
+        grp = groups.get(i)
+        if grp is None:  # |N(i)| <= 2: violated when D misses N(i)
+            violations += (hits == 0)[:, None]
+        else:  # (|D & N(i)| - S_i - 1)^2 at each value of the slack S_i
+            s_i = slack_bits[:, np.subtract(grp.indices, g.n_vertices)] @ grp.coefficients
+            violations += (hits[:, None] - s_i.astype(np.int16) - 1) ** 2
+    energies = m.penalty * violations
+    energies += sizes[:, None]
+    return EnergyTable(n, energies.ravel())

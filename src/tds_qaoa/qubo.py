@@ -47,19 +47,15 @@ class VariableRegistry:
     n_vertex_vars: int
     slack_groups: tuple[SlackGroup, ...] = ()
 
-    @property
-    def total_vars(self) -> int:
-        return self.n_vertex_vars + sum(len(g.indices) for g in self.slack_groups)
-
 
 @dataclass(frozen=True)
 class QuboModel:
-    """Merged quadratic polynomial over 0/1 variables.
+    """The TDP QUBO of one graph: merged coefficient maps plus the graph itself.
 
     quadratic keys are ordered pairs (i, j) with i < j; squares have been
     folded into the linear map via x^2 = x. Treat instances as immutable.
-    build_energy_table evaluates it at every assignment; to_json is the
-    `compile` command's output.
+    to_json is the `compile` command's output; build_energy_table reads only
+    graph (left out of repr and JSON), penalty and registry.
     """
 
     n_vars: int
@@ -68,6 +64,7 @@ class QuboModel:
     quadratic: dict[tuple[int, int], float]
     penalty: float
     registry: VariableRegistry = field(repr=False)
+    graph: Graph = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -139,7 +136,9 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
     p is the punishment coefficient and is required: RunConfig.resolve_penalty
     turns a multiple of |V| (1.5 by default) into one. Raises
     InfeasibleGraphError when the graph has an isolated vertex (the covering
-    constraint sum over an empty neighborhood cannot be satisfied).
+    constraint sum over an empty neighborhood cannot be satisfied), and
+    ValueError when |V| + p * (the largest total violation) reaches 2^53,
+    past which float64 energies round |D| away.
     """
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"punishment coefficient must be finite and positive, got {p}")
@@ -147,17 +146,21 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
     degrees = g.degrees()
     if any(deg == 0 for deg in degrees):
         raise InfeasibleGraphError("infeasible: no TDS exists (isolated vertex)")
+    max_violation = sum(1 if deg <= 2 else deg * deg for deg in degrees)
+    if g.n_vertices + p * max_violation >= 2.0**53:
+        raise ValueError(
+            f"punishment coefficient {p} is too large: |V| + P * {max_violation} reaches 2^53"
+        )
 
-    groups = []
+    slack_by_vertex = {}
     next_index = g.n_vertices
     for v in range(g.n_vertices):
         if degrees[v] >= 3:
             coeffs = slack_coefficients(degrees[v])
             indices = tuple(range(next_index, next_index + len(coeffs)))
-            groups.append(SlackGroup(v, indices, tuple(coeffs)))
+            slack_by_vertex[v] = SlackGroup(v, indices, tuple(coeffs))
             next_index += len(coeffs)
-    registry = VariableRegistry(g.n_vertices, tuple(groups))
-    slack_by_vertex = {grp.vertex: grp for grp in registry.slack_groups}
+    registry = VariableRegistry(g.n_vertices, tuple(slack_by_vertex.values()))
 
     constant = 0.0
     linear: dict[int, float] = {}
@@ -190,12 +193,13 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
     linear = {i: c for i, c in sorted(linear.items()) if c != 0.0}
     quadratic = {k: c for k, c in sorted(quadratic.items()) if c != 0.0}
     return QuboModel(
-        n_vars=registry.total_vars,
+        n_vars=next_index,
         constant=constant,
         linear=linear,
         quadratic=quadratic,
         penalty=float(p),
         registry=registry,
+        graph=g,
     )
 
 

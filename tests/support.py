@@ -1,8 +1,11 @@
 """Shared test helpers: random graphs and independent reference oracles.
 
-The term-by-term QUBO evaluation and the spin picture live here as references
-for the energy table; the package itself evaluates a model only through
-build_energy_table.
+The energy table has three references here. reference_energy_table sums the
+compiled coefficient maps term by term in float64, as the package did before
+it read |D| + P * violations from the graph; qubo_evaluate and the spin
+picture evaluate the same maps one assignment at a time; and
+cardinality_violation_energies counts |D| and the violations per assignment
+with itertools. The package itself builds energies only in build_energy_table.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
@@ -211,6 +214,49 @@ def qubo_evaluate(m: QuboModel, x: Sequence[int]) -> float:
         if x[i] and x[j]:
             total += c
     return total
+
+
+def reference_energy_table(m: QuboModel) -> np.ndarray:
+    """The coefficient maps summed at every assignment in float64, one bit column per term.
+
+    At an integer P every term is exact; at another P each product rounds, so
+    energies that are equal in exact arithmetic can differ in the last bits.
+    """
+    n = m.n_vars
+    index = np.arange(1 << n, dtype=np.int64)
+
+    def bit_column(i: int) -> np.ndarray:
+        return ((index >> (n - 1 - i)) & 1).astype(np.float64)
+
+    energies = np.full(1 << n, m.constant, dtype=np.float64)
+    for i, c in sorted(m.linear.items()):
+        energies += c * bit_column(i)
+    for (i, j), c in sorted(m.quadratic.items()):
+        energies += c * (bit_column(i) * bit_column(j))
+    return energies
+
+
+def cardinality_violation_energies(m: QuboModel) -> np.ndarray:
+    """|D| + P * violations at every assignment in index order, by itertools.
+
+    A constraint with |N(i)| <= 2 counts 1 when D misses N(i); one with
+    |N(i)| >= 3 counts (|D & N(i)| - S_i - 1)^2, with S_i read from its slack
+    bits in the model's registry.
+    """
+    g = m.graph
+    groups = {grp.vertex: grp for grp in m.registry.slack_groups}
+    energies = []
+    for x in product((0, 1), repeat=m.n_vars):
+        violations = 0
+        for i in range(g.n_vertices):
+            hits = sum(x[j] for j in g.neighbors(i))
+            if i in groups:
+                s_i = sum(c * x[k] for k, c in zip(groups[i].indices, groups[i].coefficients))
+                violations += (hits - s_i - 1) ** 2
+            else:
+                violations += hits == 0
+        energies.append(sum(x[:g.n_vertices]) + m.penalty * violations)
+    return np.array(energies)
 
 
 @dataclass(frozen=True)

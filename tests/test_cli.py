@@ -68,6 +68,12 @@ class TestCompile:
         assert cli_entry(["compile", "--graph", "builtin:paper6", "--P-mult", "0"]) == EXIT_USAGE
         assert "penalty_multiplier" in capsys.readouterr().err
 
+    def test_penalty_too_large_for_exact_energies_rejected(self, capsys):
+        assert cli_entry(["compile", "--graph", "builtin:paper6", "--P", "1e308"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "punishment coefficient 1e+308 is too large" in captured.err
+        assert captured.out == ""
+
 
 class TestRun:
     def test_writes_result_files(self, tmp_path, edge_graph, capsys):
@@ -103,6 +109,7 @@ class TestRun:
         ("--maxiter", "0", "max_iterations"),
         ("--shots", "0", "shots"),
         ("--objective-shots", "0", "objective_shots"),
+        ("--P", "1e308", "punishment coefficient 1e+308 is too large"),
     ])
     def test_invalid_config_rejected(self, edge_graph, capsys, flag, value, field):
         code = cli_entry(["run", "--graph", edge_graph, "--q", "1", flag, value])
@@ -173,7 +180,11 @@ class TestSweep:
         (["--workers", "0"], "workers"),
         (["--workers", "-3"], "workers"),
         (["--q-list", "1", "1"], "layer_values"),
-    ], ids=["q-0", "maxiter-0", "p-mult-0", "p-mult-nan", "seeds-0", "workers-0", "workers-neg", "q-repeated"])
+        (["--P-mult-list", "1.5", "1e303"], "punishment coefficient 2e+303 is too large"),
+    ], ids=[
+        "q-0", "maxiter-0", "p-mult-0", "p-mult-nan", "seeds-0", "workers-0", "workers-neg", "q-repeated",
+        "p-mult-too-large",
+    ])
     def test_bad_grid_value_exits_before_the_grid(self, edge_graph, capsys, monkeypatch, flags, field):
         def no_cell_may_run(*args, **kwargs):
             raise AssertionError("a cell ran")

@@ -384,9 +384,11 @@ class TestRunSweep:
         ("edge", {"maxiter_values": (5, 5)}, ValueError, "maxiter_values repeats"),
         ("edge", {"workers": 0}, ValueError, "workers must be at least 1, got 0"),
         ("edge", {"workers": -3}, ValueError, "workers must be at least 1, got -3"),
+        # The edge graph's two constraints violate at most once each: 2 + P * 2 >= 2^53.
+        ("edge", {"multiplier_values": (1.5, 1e303)}, ValueError, r"punishment coefficient 2e\+303 is too large"),
     ], ids=[
         "missing-file", "q-0", "maxiter-0", "mult-0", "mult-nan", "seeds-0", "seeds-neg",
-        "q-repeated", "mult-repeated", "maxiter-repeated", "workers-0", "workers-neg",
+        "q-repeated", "mult-repeated", "maxiter-repeated", "workers-0", "workers-neg", "mult-too-large",
     ])
     def test_bad_input_raises_before_any_cell(self, tmp_path, monkeypatch, source, options, error, match):
         def no_cell_may_run(*args, **kwargs):

@@ -3,6 +3,7 @@ import pytest
 
 from tds_qaoa import (
     EnergyTable,
+    Graph,
     QuboModel,
     VariableRegistry,
     bits_to_index,
@@ -11,13 +12,23 @@ from tds_qaoa import (
     compile_tdp_qubo,
     index_to_bits,
 )
-from support import all_assignments, qubo_evaluate, qubo_min_bruteforce, qubo_to_spin
+from support import (
+    all_assignments,
+    cardinality_violation_energies,
+    qubo_evaluate,
+    qubo_min_bruteforce,
+    qubo_to_spin,
+    random_graph_min_degree,
+    reference_energy_table,
+)
 
 
 def model(n_vars, constant=0.0, linear=None, quadratic=None):
+    """A generic polynomial for the spin-picture checks; its edgeless graph is never read."""
     return QuboModel(
         n_vars=n_vars, constant=constant, linear=linear or {},
         quadratic=quadratic or {}, penalty=1.0, registry=VariableRegistry(n_vars),
+        graph=Graph(n_vars, []),
     )
 
 
@@ -81,9 +92,10 @@ class TestQuboToSpin:
 
 
 class TestEnergyTable:
-    def test_one_variable_table(self):
-        table = build_energy_table(model(1, linear={0: 1.0}))
-        assert list(table.energies) == [0.0, 1.0]
+    def test_single_edge_table(self):
+        # 00 violates both constraints, 01 and 10 one each, 11 none.
+        table = build_energy_table(compile_tdp_qubo(Graph(2, [(0, 1)]), 3.0))
+        assert list(table.energies) == [6.0, 4.0, 4.0, 2.0]
 
     def test_paper6_energy_at_tds_state(self):
         table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
@@ -98,19 +110,32 @@ class TestEnergyTable:
 
     def test_table_matches_per_state_evaluation(self):
         rng = np.random.default_rng(23)
-        for _ in range(10):
-            n = int(rng.integers(1, 9))
-            linear = {i: float(rng.normal()) for i in range(n)}
-            quadratic = {
-                (i, j): float(rng.normal())
-                for i in range(n)
-                for j in range(i + 1, n)
-                if rng.random() < 0.5
-            }
-            m = model(n, constant=float(rng.normal()), linear=linear, quadratic=quadratic)
+        checked = 0
+        while checked < 10:
+            g = random_graph_min_degree(rng, int(rng.integers(2, 7)), 1)
+            m = compile_tdp_qubo(g, float(rng.uniform(0.5, 10.0)))
+            if m.n_vars > 12:
+                continue
             table = build_energy_table(m)
-            for k, x in enumerate(all_assignments(n)):
+            for k, x in enumerate(all_assignments(m.n_vars)):
                 assert table.energies[k] == pytest.approx(qubo_evaluate(m, x), abs=1e-9)
+            checked += 1
+
+    @pytest.mark.parametrize("p", [6.0, 9.0, 21.0])
+    def test_paper6_integer_penalty_matches_float_reference_exactly(self, p):
+        m = compile_tdp_qubo(builtin_instance(), p)
+        energies = build_energy_table(m).energies
+        assert np.array_equal(energies, reference_energy_table(m))
+        assert np.array_equal(energies, cardinality_violation_energies(m))
+
+    def test_paper6_levels_at_non_integer_penalty(self):
+        # 62 distinct (|D|, violations) pairs; summing the coefficient maps
+        # term by term in float64 splits them into 139 values at P = 4.8.
+        m = compile_tdp_qubo(builtin_instance(), 4.8)
+        table = build_energy_table(m)
+        assert len(table.levels[0]) == 62
+        assert np.array_equal(table.energies, cardinality_violation_energies(m))
+        assert np.abs(table.energies - reference_energy_table(m)).max() <= 3e-14
 
     def test_construction_is_deterministic(self):
         m = compile_tdp_qubo(builtin_instance(), 9.0)

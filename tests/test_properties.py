@@ -20,7 +20,14 @@ from tds_qaoa import (
     parse_graph,
     qubit_counts,
 )
-from support import all_assignments, qubo_evaluate, qubo_to_spin, reference_evolve
+from support import (
+    all_assignments,
+    cardinality_violation_energies,
+    qubo_evaluate,
+    qubo_to_spin,
+    reference_energy_table,
+    reference_evolve,
+)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -134,3 +141,23 @@ def test_term_by_term_references_match_energy_table(p, g):
     for k, x in enumerate(all_assignments(model.n_vars)):
         assert abs(qubo_evaluate(model, x) - energies[k]) <= 1e-9
         assert abs(spin.energy([2 * b - 1 for b in x]) - energies[k]) <= 1e-9
+
+
+@DETERMINISTIC
+@given(
+    g=graphs_without_isolated_vertices(),
+    p=st.one_of(st.sampled_from([6.0, 9.0]), st.floats(0.5, 12.0)),
+)
+def test_exact_table_matches_references(g, p):
+    assume(qubit_counts(g)[0] <= MAX_REFERENCE_QUBITS)
+    model = compile_tdp_qubo(g, p)
+    energies = build_energy_table(model).energies
+    float_sum = reference_energy_table(model)
+    assert np.array_equal(energies, cardinality_violation_energies(model))
+    # The float sum rounds once per term: at most n_terms * eps * sum of |terms|.
+    coefficients = [model.constant, *model.linear.values(), *model.quadratic.values()]
+    bound = len(coefficients) * np.finfo(float).eps * sum(map(abs, coefficients))
+    assert np.abs(energies - float_sum).max() <= bound
+    assert np.unique(energies).size <= np.unique(float_sum).size
+    if p in (6.0, 9.0):
+        assert np.array_equal(energies, float_sum)

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +113,30 @@ class TestCompile:
         with pytest.raises(ValueError, match=f"got {p}$"):
             compile_tdp_qubo(builtin_instance(), float(p))
 
+    # paper6 has four constraints with |N(i)| = 2 (at most 1 violation each) and
+    # two with |N(i)| = 3 (at most 9 each): |V| + P * 22 must stay below 2^53.
+    @pytest.mark.parametrize("p", [1e308, 2.0**53 / 22, 409418147942773.0])
+    def test_penalty_too_large_for_exact_energies_rejected(self, p):
+        message = f"punishment coefficient {p!r} is too large: |V| + P * 22 reaches 2^53"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compile_tdp_qubo(builtin_instance(), p)
+
+    def test_largest_exact_penalty_keeps_cardinality(self):
+        p = 409418147942772.0  # 6 + 22 * p = 2^53 - 2
+        m = compile_tdp_qubo(builtin_instance(), p)
+        json.dumps(m.to_dict(), allow_nan=False)
+        table = build_energy_table(m)
+        assert table.minimum() == 3.0
+        assert len(table.argmin_indices()) == 6
+        assert table.energies.max() == 22 * p  # the empty set with S = 2 at both slack groups
+
+    def test_graph_recorded_but_not_printed(self):
+        g = builtin_instance()
+        m = compile_tdp_qubo(g, 9.0)
+        assert m.graph == g
+        assert "graph" not in repr(m) and "Graph" not in repr(m)
+        assert "graph" not in m.to_dict()
+
 
 class TestEvaluate:
     def test_paper6_tds_assignment(self):
@@ -215,14 +241,14 @@ class TestMinBruteforce:
     def test_zero_penalty_model(self):
         m = QuboModel(
             n_vars=3, constant=0.0, linear={0: 1.0, 1: 1.0, 2: 1.0},
-            quadratic={}, penalty=1.0, registry=VariableRegistry(3),
+            quadratic={}, penalty=1.0, registry=VariableRegistry(3), graph=Graph(3, []),
         )
         best, argmins = qubo_min_bruteforce(m)
         assert best == 0.0
         assert argmins == [(0, 0, 0)]
 
     def test_too_many_vars_rejected(self):
-        m = QuboModel(25, 0.0, {}, {}, 1.0, VariableRegistry(25))
+        m = QuboModel(25, 0.0, {}, {}, 1.0, VariableRegistry(25), Graph(25, []))
         with pytest.raises(ValueError):
             qubo_min_bruteforce(m)
 
