@@ -6,6 +6,8 @@ more, a slack integer S in [0, |N(i)|-1] is binary-encoded over fresh
 variables so the inequality becomes a squared equality.
 """
 
+import json
+
 from tds_qaoa import (
     bits_to_index, build_energy_table, builtin_instance, compile_tdp_qubo, index_to_bits,
     slack_coefficients,
@@ -41,4 +43,4 @@ for proj in sorted({tuple(i for i in range(6) if x[i] == "1") for x in argmins})
     print(f"  {proj}")
 
 print("\nJSON form (first 200 chars):")
-print(model.to_json()[:200] + " ...")
+print(json.dumps(model.to_dict())[:200] + " ...")

@@ -153,7 +153,7 @@ def _cmd_compile(args) -> int:
     config = RunConfig(graph_source=args.graph, penalty=args.P, penalty_multiplier=args.p_mult)
     g = load_graph(config.graph_source)
     model = compile_tdp_qubo(g, config.resolve_penalty(g))
-    text = model.to_json(indent=2) + "\n"
+    text = json.dumps(model.to_dict(), indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -116,6 +116,10 @@ def is_dominating_set(g: Graph, d: Iterable[int]) -> bool:
     return all(i in dset or g._adjacency[i] & dset for i in range(g.n_vertices))
 
 
+# Largest vertex count parse_graph accepts. A Graph holds a Python set per
+# vertex (about 450 B each), so the cap keeps a header's n from sizing memory.
+MAX_GRAPH_VERTICES = 1 << 16
+
 # Largest n for which the package builds a 2^n array: a subset table over n
 # vertices, an energy table over n variables or a statevector of n qubits.
 MAX_TABLE_BITS = 24
@@ -155,11 +159,16 @@ def subset_table(g: Graph, closed: bool = False) -> SubsetTable:
         if closed:
             required |= 1 << (n - 1 - i)
         valid &= (index & required) != 0
-    # Popcounts: appending a bit keeps the sizes below it and adds 1 above.
+    return SubsetTable(n, valid, subset_sizes(n))
+
+
+def subset_sizes(n: int) -> np.ndarray:
+    """Popcount of every index 0..2^n - 1 (uint8), i.e. the size of each subset."""
+    # Appending a bit keeps the sizes below it and adds 1 above.
     sizes = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         sizes = np.concatenate((sizes, sizes + 1))
-    return SubsetTable(n, valid, sizes)
+    return sizes
 
 
 def _optimal_sets(table: SubsetTable) -> tuple[int, list[frozenset[int]]]:
@@ -229,18 +238,21 @@ def parse_graph(text: str) -> Graph:
     ]
     if not lines:
         raise ValueError("graph file contains no data lines")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"expected header 'n m', got {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"expected header 'n m', got {lines[0]!r}") from None
+    if n > MAX_GRAPH_VERTICES:
+        raise ValueError(f"graph files are limited to {MAX_GRAPH_VERTICES} vertices, got {n}")
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(lines) - 1} edge lines found")
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected edge line 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"expected edge line 'u v', got {line!r}") from None
+        edges.append((u, v))
     return Graph(n, edges)
 
 

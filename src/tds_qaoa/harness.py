@@ -31,7 +31,6 @@ import numpy as np
 from .graphs import Graph, load_graph, subset_table
 # perfbench/tracer.py wraps these two names where harness binds them.
 from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
-from .ising import build_energy_table, index_to_bits
 from .optimize import (
     OptimizerConfig,
     OptimizationTrace,
@@ -41,7 +40,7 @@ from .optimize import (
     minimize,
 )
 from .qaoa import AngleSchedule, evolve, expectation, marginalize_vertices, sample
-from .qubo import compile_tdp_qubo
+from .qubo import build_energy_table, compile_tdp_qubo, index_to_bits
 
 DEFAULT_SHOTS = 100_000
 DEFAULT_SWEEP_LAYERS = (2, 5, 10, 20)

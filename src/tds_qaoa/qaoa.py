@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import MAX_TABLE_BITS
-from .ising import EnergyTable
+from .qubo import EnergyTable
 
 # Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
 # complex multiply-adds per amplitude: larger groups save calls, smaller ones

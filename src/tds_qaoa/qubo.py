@@ -4,13 +4,20 @@ The 0-1 program minimizes sum(X_i) subject to sum_{j in N(i)} X_j >= 1 for
 every vertex i. Each covering constraint becomes a quadratic penalty scaled
 by a punishment coefficient P:
 
-  |N(i)| = 1, N(i) = {j}:    P * (X_j - 1)^2
-  |N(i)| = 2, N(i) = {j,k}:  P * (1 - X_j - X_k + X_j * X_k)
-  |N(i)| >= 3:               P * (sum_{j in N(i)} X_j - S_i - 1)^2
+  |N(i)| <= 2:  P * prod_{j in N(i)} (1 - X_j)
+  |N(i)| >= 3:  P * (sum_{j in N(i)} X_j - S_i - 1)^2
 
 where S_i is a slack integer in [0, |N(i)|-1] realized by a binary expansion
-over fresh 0/1 variables. All squares are expanded, x^2 folded to x, and
+over fresh 0/1 variables. All products are expanded, x^2 folded to x, and
 like terms merged, yielding constant + linear + quadratic coefficient maps.
+
+The energy table holds the model's value at every assignment. It is
+computed exactly from the graph as |D| + P * violations, not from the
+coefficient maps.
+
+Bit convention: displayed bit strings read left to right as variable
+0, 1, ..., n-1, and the basis-state integer of assignment x is
+sum_i x_i * 2^(n-1-i), i.e. variable 0 is the most significant bit.
 
 Also provides the qubit-count quantities: the closed-form upper bound
 2|V| + |V| log2(2|E|/|V| - 1) and the exact per-graph counts for the total
@@ -20,11 +27,14 @@ and plain domination encodings, whose gap g satisfies
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence
 
-from .graphs import Graph, InfeasibleGraphError, degree_partition
+import numpy as np
+
+from .graphs import MAX_TABLE_BITS, Graph, InfeasibleGraphError, degree_partition, subset_sizes
 
 
 @dataclass(frozen=True)
@@ -54,8 +64,8 @@ class QuboModel:
 
     quadratic keys are ordered pairs (i, j) with i < j; squares have been
     folded into the linear map via x^2 = x. Treat instances as immutable.
-    to_json is the `compile` command's output; build_energy_table reads only
-    graph (left out of repr and JSON), penalty and registry.
+    to_dict is the `compile` command's output; build_energy_table reads only
+    graph (left out of repr and the dict), penalty and registry.
     """
 
     n_vars: int
@@ -83,9 +93,6 @@ class QuboModel:
                 for g in self.registry.slack_groups
             ],
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def slack_coefficients(n: int) -> list[int]:
@@ -172,17 +179,13 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
 
     for i in range(g.n_vertices):
         nbrs = sorted(g.neighbors(i))
-        if len(nbrs) == 1:
-            # P * (X_j - 1)^2
-            (j,) = nbrs
-            constant += _add_squared_affine(linear, quadratic, [(j, 1.0)], -1.0, p)
-        elif len(nbrs) == 2:
-            # P * (1 - X_j - X_k + X_j X_k)
-            j, k = nbrs
+        if len(nbrs) <= 2:
+            # P * prod_{j in N(i)} (1 - X_j)
             constant += p
-            _add_linear(linear, j, -p)
-            _add_linear(linear, k, -p)
-            _add_quadratic(quadratic, j, k, p)
+            for j in nbrs:
+                _add_linear(linear, j, -p)
+            if len(nbrs) == 2:
+                _add_quadratic(quadratic, *nbrs, p)
         else:
             # P * (sum_{j in N(i)} X_j - S_i - 1)^2, slack expanded
             grp = slack_by_vertex[i]
@@ -201,6 +204,76 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
         registry=registry,
         graph=g,
     )
+
+
+def bits_to_index(bits: str | Sequence[int]) -> int:
+    """Basis-state integer for a bit string ("100011") or 0/1 sequence."""
+    index = 0
+    for b in bits:
+        index = (index << 1) | int(b)
+    return index
+
+
+def index_to_bits(index: int, n_vars: int) -> str:
+    """Bit string of length n_vars for a basis-state integer."""
+    if not 0 <= index < (1 << n_vars):
+        raise ValueError(f"index {index} out of range for {n_vars} variables")
+    return format(index, f"0{n_vars}b") if n_vars else ""
+
+
+@dataclass(frozen=True)
+class EnergyTable:
+    """QUBO energies over all 2^n_vars basis states, indexed per bits_to_index."""
+
+    n_vars: int
+    energies: np.ndarray
+
+    def minimum(self) -> float:
+        return float(self.energies.min())
+
+    def argmin_indices(self) -> list[int]:
+        return [int(k) for k in np.flatnonzero(self.energies == self.energies.min())]
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct energies, sorted, and the index of each entry's energy among them.
+
+        levels[inverse] == energies. Computed once per table; both arrays are
+        read-only.
+        """
+        levels, inverse = np.unique(self.energies, return_inverse=True)
+        levels.setflags(write=False)
+        inverse.setflags(write=False)
+        return levels, inverse
+
+
+def build_energy_table(m: QuboModel) -> EnergyTable:
+    """Materialize the diagonal Hamiltonian exactly: energies = |D| + P * violations.
+
+    Vertex bits lead each basis index, so the table is a (2^|V|, 2^slack) grid.
+    |D| and the violations are integers; only P * violations can round.
+    """
+    n = m.n_vars
+    if n > MAX_TABLE_BITS:
+        raise ValueError(f"energy table limited to {MAX_TABLE_BITS} variables, got {n}")
+    g = m.graph
+    n_slack = n - g.n_vertices
+    sizes = subset_sizes(g.n_vertices)
+    subsets = np.arange(len(sizes), dtype=np.int32)
+    slack_bits = (np.arange(1 << n_slack)[:, None] >> np.arange(n_slack - 1, -1, -1)) & 1
+    groups = {grp.vertex: grp for grp in m.registry.slack_groups}
+    violations = np.zeros((len(sizes), 1 << n_slack), dtype=np.int16)
+    for i in range(g.n_vertices):
+        hits = sizes[subsets & sum(1 << (g.n_vertices - 1 - j) for j in g.neighbors(i))]
+        grp = groups.get(i)
+        if grp is None:  # |N(i)| <= 2: violated when D misses N(i)
+            violations += (hits == 0)[:, None]
+        else:  # (|D & N(i)| - S_i - 1)^2 at each value of the slack S_i
+            s_i = slack_bits[:, np.subtract(grp.indices, g.n_vertices)] @ grp.coefficients
+            violations += (hits[:, None] - s_i.astype(np.int16) - 1) ** 2
+    energies = m.penalty * violations
+    energies += sizes[:, None]
+    return EnergyTable(n, energies.ravel())
 
 
 def qubit_upper_bound(g: Graph) -> float:

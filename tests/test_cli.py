@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -46,6 +50,22 @@ class TestBound:
     def test_sparse_graph_bound_undefined(self, edge_graph, capsys):
         assert cli_entry(["bound", "--graph", edge_graph]) == EXIT_OK
         assert "upper_bound=undefined" in capsys.readouterr().out
+
+    def test_vertex_cap_exits_usage(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("65537 0\n")
+        assert cli_entry(["bound", "--graph", str(path)]) == EXIT_USAGE
+        assert "limited to 65536 vertices" in capsys.readouterr().err
+
+    def test_python_m_entry_point(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tds_qaoa", "bound"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "q_tdp=10" in proc.stdout
 
 
 class TestCompile:

@@ -1,7 +1,9 @@
-"""Each narrative script in demos/ runs to completion against the package in src/."""
+"""Each narrative script in demos/ and each ```python block of README.md runs
+to completion against the package in src/."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,13 +11,22 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+
+
+def _run(args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run([str(script)])
+
+
+@pytest.mark.parametrize("code", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(code):
+    _run(["-c", code])

@@ -13,6 +13,7 @@ from tds_qaoa import (
     minimum_tds_bruteforce,
     parse_graph,
 )
+from tds_qaoa.graphs import subset_sizes
 from support import PAPER6_MIN_TDS, min_sets_reference, random_graph
 
 
@@ -143,6 +144,12 @@ class TestBruteforceOracles:
         with pytest.raises(ValueError, match="limited"):
             minimum_tds_bruteforce(Graph(25, [(i, i + 1) for i in range(24)]))
 
+    def test_subset_sizes_are_popcounts(self):
+        for n in range(13):
+            sizes = subset_sizes(n)
+            assert sizes.dtype == np.uint8
+            assert sizes.tolist() == [bin(k).count("1") for k in range(1 << n)]
+
 
 class TestDegreePartition:
     def test_paper6_partition(self, paper6):
@@ -215,6 +222,20 @@ class TestFileFormat:
     def test_empty_input(self):
         with pytest.raises(ValueError, match="no data"):
             parse_graph("# only a comment\n")
+
+    @pytest.mark.parametrize("header", ["6 x", "0 b", "0 1.0"])
+    def test_non_integer_header_names_the_line(self, header):
+        with pytest.raises(ValueError, match=f"expected header 'n m', got '{header}'"):
+            parse_graph(f"{header}\n")
+
+    @pytest.mark.parametrize("line", ["0 b", "0 1.0", "x 1"])
+    def test_non_integer_edge_names_the_line(self, line):
+        with pytest.raises(ValueError, match=f"expected edge line 'u v', got '{line}'"):
+            parse_graph(f"2 1\n{line}\n")
+
+    def test_vertex_cap(self):
+        with pytest.raises(ValueError, match="limited to 65536 vertices, got 65537"):
+            parse_graph("65537 0\n")
 
     def test_load_graph_roundtrip(self, tmp_path, paper6):
         path = tmp_path / "g.txt"
