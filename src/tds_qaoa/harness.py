@@ -15,7 +15,6 @@ budget) cells with per-cell replicate seeds and writes CSV/JSON results.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
@@ -47,7 +46,7 @@ DEFAULT_SWEEP_LAYERS = (2, 5, 10, 20)
 DEFAULT_SWEEP_MULTIPLIERS = (0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 DEFAULT_SWEEP_MAXITERS = (50, 100, 200, 500)
 TOP_K = 10
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 1024
 
 ROW_FIELDS = (
     "q", "P", "maxiter", "seed", "z_star", "is_tds", "is_min_tds",
@@ -208,9 +207,13 @@ def _descending(probs: np.ndarray) -> np.ndarray:
 
 
 def _bit_strings(indices: np.ndarray, n: int) -> list[str]:
-    """The n-character bit strings of basis-state indices, MSB first (n >= 1)."""
-    digits = (indices[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return (digits.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(f"U{n}").tolist()
+    """The n-character bit strings of basis-state indices, MSB first (1 <= n <= 32).
+
+    The digits are unpacked as uint8 from each index's 4 big-endian bytes.
+    """
+    octets = indices.astype(">u4").view(np.uint8).reshape(-1, 4)
+    digits = np.unpackbits(octets, axis=1)[:, 32 - n:] + ord("0")
+    return digits.view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
 def compute_metrics(dist: np.ndarray, g: Graph) -> Metrics:
@@ -397,6 +400,9 @@ def run_sweep(
             seed = derive_seed(base.seed, config.layers_q, p_tag, config.max_iterations, r)
             tasks.append((replace(config, seed=seed), g, r))
     if workers > 1 and len(tasks) > 1:
+        # Imported here: the pool, and the logging it loads, serve pooled sweeps only.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_cell, *zip(*tasks), chunksize=1))
     else:

@@ -68,6 +68,23 @@ class TestBound:
         assert "q_tdp=10" in proc.stdout
 
 
+class TestPackageImport:
+    def test_import_loads_neither_pool_nor_random(self):
+        # Both load lazily: the pool in pooled sweeps, numpy.random on first use.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, tds_qaoa, tds_qaoa.cli\n"
+            "print(*sorted(m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
+
 class TestCompile:
     def test_stdout_json(self, capsys):
         assert cli_entry(["compile", "--graph", "builtin:paper6", "--P", "9.0"]) == EXIT_OK

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -250,7 +251,7 @@ class TestRunOutputsAgainstReference:
         write_run_outputs(result, tmp_path)
         assert (tmp_path / "distribution.csv").read_bytes() == reference_distribution_csv(result).encode()
 
-    @pytest.mark.parametrize("block_rows", [1, 5, 64])
+    @pytest.mark.parametrize("block_rows", [1, 5, 64, 1024])
     def test_block_boundaries(self, output_results, block_rows, monkeypatch):
         monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", block_rows)
         for name in ("paper6-exact", "tied"):
@@ -271,6 +272,41 @@ class TestRunOutputsAgainstReference:
         scored = result.exact_probabilities if result.config.exact_metrics else counts / counts.sum()
         order = np.argsort(-scored, kind="stable")[:harness.TOP_K]
         assert result.top_k == [(index_to_bits(int(k), n), float(scored[k])) for k in order]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24])
+    def test_bit_strings_at_byte_boundaries(self, n):
+        drawn = np.random.default_rng(n).integers(0, 1 << n, size=64)
+        indices = np.concatenate([[0, 1, (1 << n) - 1], drawn])
+        assert harness._bit_strings(indices, n) == [index_to_bits(int(k), n) for k in indices]
+
+    def test_distribution_writer_memory_is_bounded(self):
+        # 2^14 distinct probabilities; the writer's transient memory is per block, not per row.
+        rng = np.random.default_rng(0)
+        probs = rng.random(1 << 14)
+        result = replace(
+            _tied_result(),
+            exact_probabilities=probs / probs.sum(),
+            vertex_counts=rng.integers(0, 100, size=1 << 14),
+        )
+        result._descending_order  # cached before the measured window
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            result.write_distribution_csv(sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 600_000
+        assert peak <= 750_000
+
+
+class _CountingSink:
+    """A text sink that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
 
 
 class TestRunSweep:
