@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .graphs import (
@@ -64,12 +63,20 @@ def _add_penalty_flags(parser):
     )
 
 
+def _add_shots_and_ramp_flags(parser):
+    parser.add_argument("--shots", type=int, default=DEFAULT_SHOTS, help="final sampling shots")
+    parser.add_argument("--gamma-scale", type=float, default=None,
+                        help="initial ramp scale for gamma (default: auto from penalty)")
+    parser.add_argument("--beta-scale", type=float, default=None,
+                        help="initial ramp scale for beta (default: auto from layer count)")
+
+
 def _add_run_flags(parser):
     _add_graph_flag(parser)
     _add_penalty_flags(parser)
     parser.add_argument("--q", type=int, default=2, help="number of QAOA layers")
     parser.add_argument("--maxiter", type=int, default=200, help="objective evaluation budget")
-    parser.add_argument("--shots", type=int, default=DEFAULT_SHOTS, help="final sampling shots")
+    _add_shots_and_ramp_flags(parser)
     parser.add_argument("--seed", type=int, default=0, help="run seed")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
@@ -80,10 +87,6 @@ def _add_run_flags(parser):
         "--sampled", dest="exact_metrics", action="store_false",
         help="score the sampled shot distribution instead",
     )
-    parser.add_argument("--gamma-scale", type=float, default=None,
-                        help="initial ramp scale for gamma (default: auto from penalty)")
-    parser.add_argument("--beta-scale", type=float, default=None,
-                        help="initial ramp scale for beta (default: auto from layer count)")
     parser.add_argument(
         "--objective-shots", type=int, default=None,
         help="estimate the optimizer objective from this many shots instead of exactly",
@@ -123,34 +126,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--maxiter-list", type=int, nargs="+", default=list(DEFAULT_SWEEP_MAXITERS))
     p_sweep.add_argument("--seeds", type=int, default=1, help="replicates per cell")
     p_sweep.add_argument("--seed", type=int, default=0, help="sweep-level base seed")
-    p_sweep.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="parallel workers (fallback: env TDS_QAOA_WORKERS, then 1)")
-    p_sweep.add_argument("--gamma-scale", type=float, default=None)
-    p_sweep.add_argument("--beta-scale", type=float, default=None)
+    _add_shots_and_ramp_flags(p_sweep)
+    p_sweep.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p_sweep.add_argument("--out", default=None, help="output directory for sweep files")
 
     return parser
 
 
-def _run_config_from_args(args) -> RunConfig:
-    return RunConfig(
-        graph_source=args.graph,
-        layers_q=args.q,
-        penalty=args.P,
-        penalty_multiplier=args.p_mult,
-        max_iterations=args.maxiter,
-        shots=args.shots,
-        seed=args.seed,
-        exact_metrics=args.exact_metrics,
-        gamma_scale=args.gamma_scale,
-        beta_scale=args.beta_scale,
-        objective_shots=args.objective_shots,
-    )
+def _run_config(args) -> RunConfig:
+    """RunConfig from whichever run flags the subcommand has; the rest keep their defaults."""
+    fields = {
+        "graph": "graph_source", "q": "layers_q", "P": "penalty", "p_mult": "penalty_multiplier",
+        "maxiter": "max_iterations", "shots": "shots", "seed": "seed",
+        "exact_metrics": "exact_metrics", "gamma_scale": "gamma_scale",
+        "beta_scale": "beta_scale", "objective_shots": "objective_shots",
+    }
+    flags = vars(args)
+    return RunConfig(**{field: flags[dest] for dest, field in fields.items() if dest in flags})
 
 
 def _cmd_compile(args) -> int:
-    config = RunConfig(graph_source=args.graph, penalty=args.P, penalty_multiplier=args.p_mult)
+    config = _run_config(args)
     g = load_graph(config.graph_source)
     model = compile_tdp_qubo(g, config.resolve_penalty(g))
     text = json.dumps(model.to_dict(), indent=2) + "\n"
@@ -190,7 +186,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = run_single(_run_config_from_args(args))
+    result = run_single(_run_config(args))
     if args.out:
         write_run_outputs(result, args.out)
         print(f"wrote result.json, distribution.csv, trace.csv to {args.out}")
@@ -200,7 +196,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    result = run_single(_run_config_from_args(args))
+    result = run_single(_run_config(args))
     text = result.trace.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -210,33 +206,14 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _sweep_workers(args) -> int:
-    """--workers, else the TDS_QAOA_WORKERS variable, else 1; run_sweep checks the range."""
-    if args.workers is not None:
-        return args.workers
-    text = os.environ.get("TDS_QAOA_WORKERS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"TDS_QAOA_WORKERS must be an integer, got {text!r}") from None
-
-
 def _cmd_sweep(args) -> int:
-    workers = _sweep_workers(args)
-    base = RunConfig(
-        graph_source=args.graph,
-        seed=args.seed,
-        shots=args.shots,
-        gamma_scale=args.gamma_scale,
-        beta_scale=args.beta_scale,
-    )
     result = run_sweep(
-        base,
+        _run_config(args),
         layer_values=tuple(args.q_list),
         multiplier_values=tuple(args.p_mult_list),
         maxiter_values=tuple(args.maxiter_list),
         n_seeds=args.seeds,
-        workers=workers,
+        workers=args.workers,
     )
     if args.out:
         write_sweep_outputs(result, args.out)

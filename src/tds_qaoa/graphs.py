@@ -12,6 +12,7 @@ significant bit, the convention of the energy table and of bit strings.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -39,7 +40,10 @@ class Graph:
 
         canonical: set[tuple[int, int]] = set()
         for u, v in edges:
-            u, v = int(u), int(v)
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
             if u == v:
                 raise ValueError(f"self-loop on vertex {u} is not allowed")
             if not (0 <= u < n_vertices and 0 <= v < n_vertices):
@@ -210,19 +214,12 @@ def degree_partition(g: Graph) -> DegreePartition:
 # but no size-2 set is total; the minimum TDS has size 3 with four optima.
 _PAPER6_EDGES = ((0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (2, 4))
 
-_BUILTIN_GRAPHS = {
-    "paper6": lambda: Graph(6, _PAPER6_EDGES),
-}
-
 
 def builtin_instance(name: str = "paper6") -> Graph:
-    """Return a bundled benchmark graph by name (currently only "paper6")."""
-    try:
-        return _BUILTIN_GRAPHS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown builtin graph {name!r}; available: {sorted(_BUILTIN_GRAPHS)}"
-        ) from None
+    """Return a bundled benchmark graph by name (only "paper6")."""
+    if name != "paper6":
+        raise ValueError(f"unknown builtin graph {name!r}; available: ['paper6']")
+    return Graph(6, _PAPER6_EDGES)
 
 
 def parse_graph(text: str) -> Graph:
@@ -256,14 +253,9 @@ def parse_graph(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def read_graph_file(path) -> Graph:
-    """Read a graph from a file in the plain-text format of parse_graph."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
-
-
 def load_graph(source: str) -> Graph:
-    """Resolve a graph source: either "builtin:<name>" or a file path."""
+    """Resolve a graph source: "builtin:<name>", or a file in the format of parse_graph."""
     if source.startswith("builtin:"):
         return builtin_instance(source.split(":", 1)[1])
-    return read_graph_file(source)
+    with open(source, "r", encoding="utf-8") as fh:
+        return parse_graph(fh.read())

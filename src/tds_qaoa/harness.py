@@ -37,6 +37,7 @@ from .optimize import (
     default_ramp_scales,
     initial_angles,
     minimize,
+    require_integer,
 )
 from .qaoa import AngleSchedule, evolve, expectation, marginalize_vertices, sample
 from .qubo import build_energy_table, compile_tdp_qubo, index_to_bits
@@ -76,8 +77,12 @@ class RunConfig:
     objective_shots: int | None = None
 
     def __post_init__(self):
-        if self.layers_q < 1:
-            raise ValueError(f"layers_q must be positive, got {self.layers_q}")
+        for name in ("layers_q", "max_iterations", "shots", "objective_shots", "seed"):
+            value = getattr(self, name)
+            if value is not None:
+                require_integer(name, value)
+                if name != "seed" and value < 1:
+                    raise ValueError(f"{name} must be at least 1, got {value}")
         if self.penalty is not None and self.penalty_multiplier is not None:
             raise ValueError("give either penalty or penalty_multiplier, not both")
         for name in ("penalty", "penalty_multiplier", "function_tolerance"):
@@ -88,10 +93,6 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("max_iterations", "shots", "objective_shots"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def resolve_penalty(self, g: Graph) -> float:
         if self.penalty is not None:
@@ -226,6 +227,8 @@ def compute_metrics(dist: np.ndarray, g: Graph) -> Metrics:
     size = 1 << g.n_vertices
     if probs.shape != (size,):
         raise ValueError(f"expected {size} vertex-subset probabilities, got shape {probs.shape}")
+    if not (probs >= 0).all():
+        raise ValueError("distribution has a negative or NaN entry")
     total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"distribution is not normalized: total mass {total}")

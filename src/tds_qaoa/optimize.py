@@ -13,6 +13,8 @@ reproducible for a fixed (objective, x0, config).
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,13 +45,23 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integer("max_iterations", self.max_iterations)
+        require_integer("seed", self.seed)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if self.function_tolerance <= 0:
             raise ValueError(f"function_tolerance must be positive, got {self.function_tolerance}")
         for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"empty bound interval ({lo}, {hi})")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValueError naming the field unless operator.index accepts value."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,11 @@ class TestConstruction:
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match="outside"):
             Graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("edge", [(0, 1.5), (2.0, 1), (0, "1")])
+    def test_rejects_non_integer_endpoint(self, edge):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} has a non-integer endpoint")):
+            Graph(3, [edge, (1, 2)])
 
 
 class TestNeighbors:
@@ -246,5 +253,5 @@ class TestFileFormat:
         assert load_graph("builtin:paper6") == paper6
 
     def test_unknown_builtin(self):
-        with pytest.raises(ValueError, match="unknown builtin"):
+        with pytest.raises(ValueError, match=r"unknown builtin graph 'nope'; available: \['paper6'\]"):
             load_graph("builtin:nope")

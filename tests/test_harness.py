@@ -91,6 +91,15 @@ class TestComputeMetrics:
         with pytest.raises(ValueError, match="normalized"):
             compute_metrics(point_mass("100011", 0.5), paper6)
 
+    def test_nan_or_negative_entry_rejected(self, paper6):
+        nan = uniform_dist(6)
+        nan[5] = np.nan
+        negative = uniform_dist(6)
+        negative[[0, 1]] += (0.5, -0.5)  # the total stays 1
+        for probs in (nan, negative):
+            with pytest.raises(ValueError, match="negative or NaN entry"):
+                compute_metrics(probs, paper6)
+
     def test_dense_array_input(self, paper6):
         probs = np.zeros(64)
         probs[0b100011] = 1.0
@@ -182,6 +191,12 @@ class TestRunSingle:
     def test_penalty_conflict_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(penalty=3.0, penalty_multiplier=1.5)
+
+    @pytest.mark.parametrize("name", ["layers_q", "max_iterations", "shots", "objective_shots", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_integer_fields_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            RunConfig(**{name: value})
 
     def test_default_penalty_is_multiplier_1_5(self):
         assert RunConfig().resolve_penalty(builtin_instance()) == 9.0

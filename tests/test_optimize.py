@@ -133,6 +133,20 @@ class TestMinimize:
         with pytest.raises(ValueError):
             OptimizerConfig(max_iterations=5, bounds=((0.0, 1.0),), function_tolerance=0.0)
 
+    @pytest.mark.parametrize("name", ["max_iterations", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_integer_fields_must_be_integers(self, name, value):
+        fields = {"max_iterations": 5, "bounds": ((0.0, 1.0),), name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            OptimizerConfig(**fields)
+
+    @pytest.mark.parametrize("bound", [
+        (float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 1.0), (0.0, float("inf")),
+    ])
+    def test_non_finite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="empty or not finite"):
+            OptimizerConfig(5, ((0.0, 1.0), bound))
+
     def test_trace_csv_format(self):
         config = OptimizerConfig(max_iterations=5, bounds=((-1.0, 1.0),))
         trace = minimize(lambda x: float(x[0] ** 2), [0.5], config)
