@@ -34,9 +34,15 @@ class Graph:
     __slots__ = ("n_vertices", "edges", "_adjacency")
 
     def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]]):
-        if n_vertices < 0:
-            raise ValueError(f"n_vertices must be nonnegative, got {n_vertices}")
-        self.n_vertices = int(n_vertices)
+        try:
+            n = operator.index(n_vertices)
+        except TypeError:
+            n = None
+        if n is None or isinstance(n_vertices, bool):
+            raise ValueError(f"n_vertices must be an integer, got {n_vertices!r}")
+        if n < 0:
+            raise ValueError(f"n_vertices must be nonnegative, got {n}")
+        self.n_vertices = n
 
         canonical: set[tuple[int, int]] = set()
         for u, v in edges:
@@ -46,8 +52,8 @@ class Graph:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
             if u == v:
                 raise ValueError(f"self-loop on vertex {u} is not allowed")
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n_vertices})")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
             key = (u, v) if u < v else (v, u)
             if key in canonical:
                 raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")

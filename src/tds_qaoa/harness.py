@@ -83,6 +83,8 @@ class RunConfig:
                 require_integer(name, value)
                 if name != "seed" and value < 1:
                     raise ValueError(f"{name} must be at least 1, got {value}")
+        if not isinstance(self.exact_metrics, bool):
+            raise ValueError(f"exact_metrics must be a bool, got {self.exact_metrics!r}")
         if self.penalty is not None and self.penalty_multiplier is not None:
             raise ValueError("give either penalty or penalty_multiplier, not both")
         for name in ("penalty", "penalty_multiplier", "function_tolerance"):
@@ -285,11 +287,14 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
             state = evolve(table, AngleSchedule.from_vector(x))
             probs = state.probabilities()
             counts = estimator_rng.multinomial(config.objective_shots, probs / probs.sum())
-            return float(np.dot(counts, table.energies)) / config.objective_shots
+            return float(np.einsum("i,i->", counts, table.energies)) / config.objective_shots
 
     trace = minimize(objective, x0, opt_config)
     best_schedule = AngleSchedule.from_vector(trace.best_point)
     final_state = evolve(table, best_schedule)
+    # Scoring and writing do not read the table: free it, its level index and its
+    # scratch buffer (32 B per basis state) before they allocate.
+    del table
 
     n_vertex = model.registry.n_vertex_vars
     probs = final_state.probabilities()

@@ -1,12 +1,24 @@
 """Dense statevector simulation of the layered QAOA circuit.
 
 The circuit is: Hadamards on every qubit (uniform superposition), then q
-alternating layers of the diagonal cost phase exp(-i * gamma * H_c) and the
-transverse-field mixer exp(-i * beta * sum_j X_j). Because H_c is diagonal,
-the cost layer is a per-basis-state phase multiply from the energy table;
-the mixer factorizes into independent single-qubit X rotations
+alternating layers of the diagonal cost phase C(gamma) = exp(-i * gamma * H_c)
+and the transverse-field mixer exp(-i * beta * sum_j X_j). Because H_c is
+diagonal, the cost layer is a per-basis-state phase multiply from the
+energy table; the mixer factorizes into independent single-qubit X rotations
 
-    U(beta) = exp(-i beta X) = [[cos b, -i sin b], [-i sin b, cos b]].
+    U(beta) = exp(-i beta X) = [[c, -i s], [-i s, c]]
+            = diag(1, -i) . R(beta) . diag(1, i),  R(beta) = [[c, -s], [s, c]],
+
+with c = cos(beta), s = sin(beta). Over n qubits U^{⊗n} = Phi R^{⊗n} Phi*,
+where Phi = diag((-i)^popcount(x)). Phi is diagonal, so it commutes with
+every cost layer, and the Phi* Phi between two layers cancels:
+
+    U(b_q) C(g_q) ... U(b_1) C(g_1) |+> = Phi R(b_q) C(g_q) ... R(b_1) C(g_1) Phi* |+>,
+
+where Phi* |+> has amplitudes i^popcount(x) / 2^(n/2). `evolve` runs in
+that frame: each mixer layer is the real rotation R^{⊗n}, which turns the
+real and the imaginary parts alike and so acts on the float64 view of the
+amplitudes, and Phi is applied once, at the end.
 
 Qubit j is the j-th axis of the amplitude tensor (variable 0 = most
 significant bit, matching the energy-table convention).
@@ -20,13 +32,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import MAX_TABLE_BITS
+from .graphs import MAX_TABLE_BITS, subset_sizes
 from .qubo import EnergyTable
 
 # Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
-# complex multiply-adds per amplitude: larger groups save calls, smaller ones
-# flops and memory. At 5 the matrix is 32 x 32.
+# multiply-adds per float of the state: larger groups save calls, smaller
+# ones flops. At 5 the matrix is 32 x 32.
 _MIXER_GROUP = 5
+
+# i^m for m = 0..3: Phi* and Phi are i^popcount(x) and i^(3 * popcount(x)).
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+_QUARTER_TURNS.setflags(write=False)
 
 
 @dataclass
@@ -72,40 +88,23 @@ class AngleSchedule:
         return cls(tuple(x[:q]), tuple(x[q:]))
 
 
-def uniform_state(n: int) -> StateVector:
-    """Equal superposition of all 2^n basis states (Hadamard on every qubit)."""
+def _require_qubits(n: int) -> None:
     if not 1 <= n <= MAX_TABLE_BITS:
         raise ValueError(f"qubit count must be in [1, {MAX_TABLE_BITS}], got {n}")
-    amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
-    return StateVector(n, amp)
 
 
-def apply_cost_layer(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
-    """Diagonal phase: amplitude[k] *= exp(-i * gamma * energies[k]).
-
-    The phase is computed once per distinct energy and gathered per basis
-    state, which gives the same values as exponentiating every entry.
-    """
+def _require_same_size(table: EnergyTable, state: StateVector) -> None:
     if table.n_vars != state.n_qubits:
         raise ValueError(
             f"energy table has {table.n_vars} variables, state has {state.n_qubits} qubits"
         )
-    levels, inverse = table.levels
-    amp = np.exp(-1j * gamma * levels)[inverse]
-    # Operands in the order of amplitudes * phases: numpy's complex product
-    # can round differently with them swapped.
-    np.multiply(state.amplitudes, amp, out=amp)
-    return StateVector(state.n_qubits, amp)
 
 
-@lru_cache(maxsize=None)
-def _hamming_distances(k: int) -> np.ndarray:
-    """popcount(i ^ j) for all i, j < 2^k, read-only."""
-    index = np.arange(1 << k)
-    xor = index[:, None] ^ index[None, :]
-    dist = sum((xor >> b) & 1 for b in range(k))
-    dist.setflags(write=False)
-    return dist
+def uniform_state(n: int) -> StateVector:
+    """Equal superposition of all 2^n basis states (Hadamard on every qubit)."""
+    _require_qubits(n)
+    amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
+    return StateVector(n, amp)
 
 
 @lru_cache(maxsize=None)
@@ -116,48 +115,152 @@ def _group_sizes(n: int) -> tuple[int, ...]:
     return (base + 1,) * extra + (base,) * (groups - extra)
 
 
+@lru_cache(maxsize=None)
+def _frame_factor(k: int, turns: int) -> np.ndarray:
+    """i^(turns * popcount(j)) for j < 2^k, read-only."""
+    factor = _QUARTER_TURNS[(turns * subset_sizes(k)) & 3]
+    factor.setflags(write=False)
+    return factor
+
+
+def _fill_frame(out: np.ndarray, turns: int, scale: float) -> None:
+    """out[x] = scale * i^(turns * popcount(x)), the outer product of the two halves' factors.
+
+    Every factor is a unit, so the entries are exact.
+    """
+    n = out.size.bit_length() - 1
+    high = _frame_factor(n // 2, turns) * scale
+    np.multiply.outer(high, _frame_factor(n - n // 2, turns), out=out.reshape(high.size, -1))
+
+
+@lru_cache(maxsize=None)
+def _rotation_index(k: int) -> np.ndarray:
+    """Position of R^{⊗k}[i, j] in [c^k, ..., s^k, -c^k, ..., -s^k], read-only.
+
+    R^{⊗k}[i, j] = c^(k-d) * s^d * (-1)^popcount(~i & j), d = popcount(i ^ j):
+    each bit where i is 0 and j is 1 takes the factor R[0, 1] = -s.
+    """
+    index = np.arange(1 << k)
+    popcount = subset_sizes(k)
+    distance = popcount[index[:, None] ^ index]
+    negative = popcount[~index[:, None] & index] & 1
+    position = (distance + (k + 1) * negative).astype(np.intp)
+    position.setflags(write=False)
+    return position
+
+
+def _rotation(k: int, c: float, s: float) -> np.ndarray:
+    """The signed real R^{⊗k} for cos(beta) = c and sin(beta) = s."""
+    powers = [c ** (k - d) * s**d for d in range(k + 1)]
+    return np.array(powers + [-p for p in powers])[_rotation_index(k)]
+
+
+def _group_views(psi: np.ndarray, scratch: np.ndarray) -> list[tuple]:
+    """Per mixer group of psi: (k, operand, product, destination, source).
+
+    The operand is psi's float64 view with the group's 2^k rows leading, and
+    the product, in scratch, has its shape. Copying the product transposed,
+    as a complex (2^(n-k), 2^k) array, back into psi moves the group's axes
+    behind the others: the next group then leads, and after the last group
+    the qubits are back in order. Groups of one size share their views.
+    """
+    flat = psi.view(np.float64)
+    sizes = _group_sizes(psi.size.bit_length() - 1)
+    views = {}
+    for k in set(sizes):
+        rows = 1 << k
+        product = scratch.reshape(rows, -1)
+        source = product.view(np.complex128).T
+        views[k] = (k, flat.reshape(rows, -1), product, psi.reshape(-1, rows), source)
+    return [views[k] for k in sizes]
+
+
+def _phase_layer(
+    psi: np.ndarray, levels: np.ndarray, inverse: np.ndarray, gamma: float, phases: np.ndarray
+) -> None:
+    """psi[k] *= exp(-i * gamma * levels[inverse[k]]) in place.
+
+    phases is a complex buffer of psi's size, overwritten. The phase is
+    computed once per distinct energy and gathered per basis state, which
+    gives the same values as exponentiating every entry.
+    """
+    # mode="clip" gathers straight into phases; the default mode buffers the
+    # output. inverse is in range, so clipping changes nothing.
+    np.exp(-1j * gamma * levels).take(inverse, out=phases, mode="clip")
+    # Operands in the order of amplitudes * phases: numpy's complex product
+    # can round differently with them swapped.
+    np.multiply(psi, phases, out=psi)
+
+
+def _rotation_layer(groups: list[tuple], beta: float) -> None:
+    """R(beta) on every qubit, in place: per group one real matmul and one transposed copy."""
+    c, s = math.cos(beta), math.sin(beta)
+    rotations: dict[int, np.ndarray] = {}
+    for k, operand, product, destination, source in groups:
+        if k not in rotations:
+            rotations[k] = _rotation(k, c, s)
+        np.matmul(rotations[k], operand, out=product)
+        np.copyto(destination, source)
+
+
+def apply_cost_layer(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
+    """Diagonal phase: amplitude[k] *= exp(-i * gamma * energies[k])."""
+    _require_same_size(table, state)
+    psi = np.array(state.amplitudes, dtype=np.complex128)
+    _phase_layer(psi, *table.levels, gamma, np.empty_like(psi))
+    return StateVector(state.n_qubits, psi)
+
+
 def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
     """X rotation exp(-i * beta * X) applied to every qubit independently.
 
-    The qubits are taken in consecutive groups of k <= 5. A group's rotation
-    U(beta)^{⊗k} has entry cos(b)^(k-d) * (-i sin(b))^d at (i, j), where
-    d = popcount(i ^ j); it is symmetric, and is applied as one matmul over
-    the (left, 2^k, right) view of the amplitudes.
+    Applied as Phi R(beta)^{⊗n} Phi* (see the module docstring). The frame
+    phases are units and R(0) is the identity, so beta = 0 returns the
+    amplitudes exactly.
     """
-    n = state.n_qubits
-    c, s = math.cos(beta), math.sin(beta)
-    rotations: dict[int, np.ndarray] = {}
-    psi = state.amplitudes
-    done = 0
-    for k in _group_sizes(n):
-        if k not in rotations:
-            powers = np.array([c ** (k - d) * (-1j * s) ** d for d in range(k + 1)])
-            rotations[k] = powers[_hamming_distances(k)]
-        left, right = 1 << done, 1 << (n - done - k)
-        if right == 1:
-            psi = psi.reshape(left, 1 << k) @ rotations[k]
-        else:
-            psi = np.matmul(rotations[k], psi.reshape(left, 1 << k, right))
-        done += k
-    return StateVector(n, psi.reshape(-1))
+    psi = np.array(state.amplitudes, dtype=np.complex128)
+    frame = np.empty_like(psi)
+    _fill_frame(frame, 1, 1.0)
+    psi *= frame
+    _rotation_layer(_group_views(psi, frame.view(np.float64)), beta)
+    _fill_frame(frame, 3, 1.0)
+    psi *= frame
+    return StateVector(state.n_qubits, psi)
 
 
 def evolve(table: EnergyTable, schedule: AngleSchedule) -> StateVector:
-    """Run the full circuit: uniform state, then (cost, mixer) per layer."""
-    state = uniform_state(table.n_vars)
+    """Run the full circuit: uniform state, then (cost, mixer) per layer.
+
+    Runs in the rotation frame of the module docstring, in place in the
+    array it returns, with the table's scratch buffer as the only other
+    state-sized array; the layers allocate nothing of the state's size.
+    """
+    n = table.n_vars
+    _require_qubits(n)
+    # The level index (built on a table's first evolve) comes before the
+    # state, which then reuses the memory its sort freed.
+    levels, inverse = table.levels
+    psi = np.empty(1 << n, dtype=np.complex128)
+    _fill_frame(psi, 1, 2.0 ** (-n / 2.0))
+    scratch = table.scratch
+    phases = scratch.view(np.complex128)
+    groups = _group_views(psi, scratch)
     for gamma, beta in zip(schedule.gammas, schedule.betas):
-        state = apply_cost_layer(state, table, gamma)
-        state = apply_mixer_layer(state, beta)
-    return state
+        _phase_layer(psi, levels, inverse, gamma, phases)
+        _rotation_layer(groups, beta)
+    _fill_frame(phases, 3, 1.0)
+    psi *= phases
+    return StateVector(n, psi)
 
 
 def expectation(state: StateVector, table: EnergyTable) -> float:
-    """Expected energy sum_k |amplitude[k]|^2 * energies[k]."""
-    if table.n_vars != state.n_qubits:
-        raise ValueError(
-            f"energy table has {table.n_vars} variables, state has {state.n_qubits} qubits"
-        )
-    return float(np.dot(state.probabilities(), table.energies))
+    """Expected energy sum_k |amplitude[k]|^2 * energies[k].
+
+    Summed by numpy's own einsum loop, not a BLAS dot: a threaded BLAS dot
+    rounds differently at different thread counts, and seeded runs must not.
+    """
+    _require_same_size(table, state)
+    return float(np.einsum("i,i->", state.probabilities(), table.energies))
 
 
 def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:

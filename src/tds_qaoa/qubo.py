@@ -246,6 +246,16 @@ class EnergyTable:
         inverse.setflags(write=False)
         return levels, inverse
 
+    @cached_property
+    def scratch(self) -> np.ndarray:
+        """Work buffer of the statevector kernel: 2^(n_vars + 1) float64, one complex state.
+
+        Allocated on first use and kept with the table, so repeated evolves
+        of it allocate no per-layer buffers. Every evolve overwrites it: do
+        not evolve one table from two threads at once.
+        """
+        return np.empty(2 << self.n_vars)
+
 
 def build_energy_table(m: QuboModel) -> EnergyTable:
     """Materialize the diagonal Hamiltonian exactly: energies = |D| + P * violations.

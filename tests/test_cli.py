@@ -125,6 +125,27 @@ class TestRun:
         assert (out / "distribution.csv").exists()
         assert (out / "trace.csv").exists()
 
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS splits a dot product of more than 10^4 entries over its
+        # threads, which changes the rounding; 2^14 states are past that.
+        n = 14
+        graph = tmp_path / "cycle.txt"
+        graph.write_text(f"{n} {n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "tds_qaoa", "run", "--graph", str(graph), "--q", "2",
+                 "--P", "21", "--maxiter", "60", "--seed", "0", "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("trace.csv", "distribution.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_stdout_json_without_out(self, edge_graph, capsys):
         code = cli_entry([
             "run", "--graph", edge_graph, "--q", "1", "--P", "3.0",

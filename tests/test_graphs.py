@@ -45,6 +45,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside"):
             Graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "n_vertices, edges", [(3.7, [(0, 1), (1, 2), (2, 3)]), (True, []), ("3", [])]
+    )
+    def test_rejects_non_integer_vertex_count(self, n_vertices, edges):
+        message = f"n_vertices must be an integer, got {n_vertices!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(n_vertices, edges)
+
     @pytest.mark.parametrize("edge", [(0, 1.5), (2.0, 1), (0, "1")])
     def test_rejects_non_integer_endpoint(self, edge):
         with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} has a non-integer endpoint")):

@@ -198,6 +198,10 @@ class TestRunSingle:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             RunConfig(**{name: value})
 
+    def test_exact_metrics_must_be_a_bool(self):
+        with pytest.raises(ValueError, match="exact_metrics must be a bool, got 'no'"):
+            RunConfig(exact_metrics="no")
+
     def test_default_penalty_is_multiplier_1_5(self):
         assert RunConfig().resolve_penalty(builtin_instance()) == 9.0
 

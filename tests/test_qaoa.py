@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tds_qaoa import qaoa
 from tds_qaoa import (
     AngleSchedule,
     EnergyTable,
@@ -179,6 +180,29 @@ class TestAgainstReferenceLayers:
         state = random_state(rng, n)
         assert np.array_equal(apply_cost_layer(state, table, 0.0).amplitudes, state.amplitudes)
         assert np.array_equal(apply_mixer_layer(state, 0.0).amplitudes, state.amplitudes)
+
+
+class TestRotationFrame:
+    """The real rotation R(beta) = [[c, -s], [s, c]] that evolve applies in place of U(beta)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("beta", [0.7, 2.4])  # cos(beta) > 0, then < 0
+    def test_signed_rotation_is_kronecker_power(self, k, beta):
+        c, s = np.cos(beta), np.sin(beta)
+        expected = np.eye(1)
+        for _ in range(k):
+            expected = np.kron(expected, np.array([[c, -s], [s, c]]))
+        assert np.abs(qaoa._rotation(k, c, s) - expected).max() <= 1e-15
+
+    def test_results_own_their_memory(self):
+        table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
+        first = evolve(table, AngleSchedule((0.4, 1.2), (0.7, 0.3)))
+        kept = first.amplitudes.copy()
+        second = evolve(table, AngleSchedule((2.1,), (1.9,)))
+        assert np.array_equal(first.amplitudes, kept)
+        assert not np.shares_memory(first.amplitudes, second.amplitudes)
+        for state in (first, second):
+            assert not np.shares_memory(state.amplitudes, table.scratch)
 
 
 class TestEvolve:
