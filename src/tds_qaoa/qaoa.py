@@ -116,21 +116,27 @@ def _group_sizes(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _frame_factor(k: int, turns: int) -> np.ndarray:
-    """i^(turns * popcount(j)) for j < 2^k, read-only."""
-    factor = _QUARTER_TURNS[(turns * subset_sizes(k)) & 3]
-    factor.setflags(write=False)
-    return factor
+def _frame_rows(n: int, turns: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows and index with frame[h, l] = rows[index[h], l], h the high n // 2 bits.
+
+    rows[m, l] = i^m * scale * i^(turns * popcount(l)), index[h] = turns * popcount(h) mod 4.
+    """
+    low = _QUARTER_TURNS[(turns * subset_sizes(n - n // 2)) & 3]
+    rows = np.multiply.outer(_QUARTER_TURNS * scale, low)
+    index = ((turns * subset_sizes(n // 2)) & 3).astype(np.intp)
+    rows.setflags(write=False)
+    index.setflags(write=False)
+    return rows, index
 
 
 def _fill_frame(out: np.ndarray, turns: int, scale: float) -> None:
-    """out[x] = scale * i^(turns * popcount(x)), the outer product of the two halves' factors.
+    """out[x] = scale * i^(turns * popcount(x)), exactly: every factor is a unit.
 
-    Every factor is a unit, so the entries are exact.
+    A row gather allocates nothing; a broadcast product of the two halves'
+    factors gives the same bits, but numpy buffers up to two states for it.
     """
-    n = out.size.bit_length() - 1
-    high = _frame_factor(n // 2, turns) * scale
-    np.multiply.outer(high, _frame_factor(n - n // 2, turns), out=out.reshape(high.size, -1))
+    rows, index = _frame_rows(out.size.bit_length() - 1, turns, scale)
+    rows.take(index, axis=0, out=out.reshape(index.size, -1), mode="clip")
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +155,10 @@ def _rotation_index(k: int) -> np.ndarray:
     return position
 
 
-def _rotation(k: int, c: float, s: float) -> np.ndarray:
-    """The signed real R^{⊗k} for cos(beta) = c and sin(beta) = s."""
-    powers = [c ** (k - d) * s**d for d in range(k + 1)]
-    return np.array(powers + [-p for p in powers])[_rotation_index(k)]
+def _rotations(k: int, cos: list[float], sin: list[float]) -> np.ndarray:
+    """Each layer's signed real R^{⊗k} from its cos(beta) and sin(beta): (layers, 2^k, 2^k)."""
+    powers = [[c ** (k - d) * s**d for d in range(k + 1)] for c, s in zip(cos, sin)]
+    return np.array([p + [-v for v in p] for p in powers]).take(_rotation_index(k), axis=1)
 
 
 def _group_views(psi: np.ndarray, scratch: np.ndarray) -> list[tuple]:
@@ -175,57 +181,98 @@ def _group_views(psi: np.ndarray, scratch: np.ndarray) -> list[tuple]:
     return [views[k] for k in sizes]
 
 
-def _phase_layer(
-    psi: np.ndarray, levels: np.ndarray, inverse: np.ndarray, gamma: float, phases: np.ndarray
-) -> None:
-    """psi[k] *= exp(-i * gamma * levels[inverse[k]]) in place.
-
-    phases is a complex buffer of psi's size, overwritten. The phase is
-    computed once per distinct energy and gathered per basis state, which
-    gives the same values as exponentiating every entry.
-    """
-    # mode="clip" gathers straight into phases; the default mode buffers the
-    # output. inverse is in range, so clipping changes nothing.
-    np.exp(-1j * gamma * levels).take(inverse, out=phases, mode="clip")
-    # Operands in the order of amplitudes * phases: numpy's complex product
-    # can round differently with them swapped.
-    np.multiply(psi, phases, out=psi)
-
-
-def _rotation_layer(groups: list[tuple], beta: float) -> None:
-    """R(beta) on every qubit, in place: per group one real matmul and one transposed copy."""
-    c, s = math.cos(beta), math.sin(beta)
-    rotations: dict[int, np.ndarray] = {}
-    for k, operand, product, destination, source in groups:
-        if k not in rotations:
-            rotations[k] = _rotation(k, c, s)
-        np.matmul(rotations[k], operand, out=product)
-        np.copyto(destination, source)
-
-
 def apply_cost_layer(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
-    """Diagonal phase: amplitude[k] *= exp(-i * gamma * energies[k])."""
+    """Diagonal phase amplitude[k] *= exp(-i * gamma * energies[k]): a circuit layer at beta = 0."""
     _require_same_size(table, state)
-    psi = np.array(state.amplitudes, dtype=np.complex128)
-    _phase_layer(psi, *table.levels, gamma, np.empty_like(psi))
-    return StateVector(state.n_qubits, psi)
+    circuit = Circuit(table)
+    circuit._psi[:] = state.amplitudes
+    return StateVector(state.n_qubits, circuit._layers([gamma, 0.0]))
 
 
 def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
     """X rotation exp(-i * beta * X) applied to every qubit independently.
 
-    Applied as Phi R(beta)^{⊗n} Phi* (see the module docstring). The frame
-    phases are units and R(0) is the identity, so beta = 0 returns the
-    amplitudes exactly.
+    Applied as Phi R(beta)^{⊗n} Phi* (see the module docstring), with R(beta)^{⊗n} a
+    circuit layer at gamma = 0. Phi's entries are units and R(0) is the identity, so
+    beta = 0 returns the amplitudes exactly.
     """
-    psi = np.array(state.amplitudes, dtype=np.complex128)
-    frame = np.empty_like(psi)
+    circuit = Circuit(EnergyTable(state.n_qubits, np.zeros(1 << state.n_qubits)))
+    psi, frame = circuit._psi, circuit.table.scratch.view(np.complex128)
     _fill_frame(frame, 1, 1.0)
-    psi *= frame
-    _rotation_layer(_group_views(psi, frame.view(np.float64)), beta)
+    np.multiply(state.amplitudes, frame, out=psi)
+    circuit._layers([0.0, beta])
     _fill_frame(frame, 3, 1.0)
     psi *= frame
     return StateVector(state.n_qubits, psi)
+
+
+class Circuit:
+    """The circuit on one table, with one state buffer that every run overwrites.
+
+    Runs also overwrite the table's scratch buffer: run no two of a table's circuits at once.
+    """
+
+    def __init__(self, table: EnergyTable):
+        n = table.n_vars
+        _require_qubits(n)
+        if table.energies.shape != (1 << n,):
+            raise ValueError(f"table of {n} variables has energies of shape {table.energies.shape}")
+        self.table = table
+        # The level index (built on a table's first run) comes before the
+        # state, which then reuses the memory its sort freed.
+        self._levels, self._inverse = table.levels
+        self._psi = np.empty(1 << n, dtype=np.complex128)
+        self._groups = _group_views(self._psi, table.scratch)
+
+    def run(self, x) -> np.ndarray:
+        """The state at angles x = [gammas..., betas...] in the rotation frame, in the buffer."""
+        _fill_frame(self._psi, 1, 2.0 ** (-self.table.n_vars / 2.0))
+        return self._layers(x)
+
+    def _layers(self, x) -> np.ndarray:
+        """The layers of x on the state buffer, in place, in the rotation frame.
+
+        Each layer gathers its phase per basis state from one per distinct
+        energy, then runs R(beta) as one real matmul and one transposed copy
+        per qubit group (see _group_views). One np.exp gives every layer's
+        phases, q * len(levels) complex numbers (62 levels at paper6, 2^n at
+        worst), and one gather per group size every layer's R^{⊗k}.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1 or x.size % 2 or not x.size:
+            raise ValueError(f"parameter vector of shape {x.shape} is not [gammas..., betas...]")
+        q = x.size // 2
+        betas = x[q:].tolist()
+        cos, sin = [math.cos(b) for b in betas], [math.sin(b) for b in betas]
+        rotations = {k: _rotations(k, cos, sin) for k in {group[0] for group in self._groups}}
+        level_phases = np.multiply.outer(-1j * x[:q], self._levels)
+        np.exp(level_phases, out=level_phases)
+        psi, phases = self._psi, self.table.scratch.view(np.complex128)
+        for layer in range(q):
+            # mode="clip" gathers straight into phases; the default mode buffers the
+            # output. inverse is in range, so clipping changes nothing.
+            level_phases[layer].take(self._inverse, out=phases, mode="clip")
+            # Operands in the order of amplitudes * phases: numpy's complex product
+            # can round differently with them swapped.
+            np.multiply(psi, phases, out=psi)
+            for k, operand, product, destination, source in self._groups:
+                np.matmul(rotations[k][layer], operand, out=product)
+                np.copyto(destination, source)
+        return psi
+
+    def probabilities(self, x) -> np.ndarray:
+        """|amplitude|^2 at angles x, in the table's scratch buffer, which the run has freed.
+
+        evolve's final Phi is skipped: its entries are units, so |Phi z| = |z| exactly.
+        """
+        psi = self.run(x)
+        probs = self.table.scratch[: psi.size]
+        np.abs(psi, out=probs)
+        return np.square(probs, out=probs)
+
+    def expectation(self, x) -> float:
+        """expectation(evolve(table, AngleSchedule.from_vector(x)), table), bit for bit."""
+        return float(np.einsum("i,i->", self.probabilities(x), self.table.energies))
 
 
 def evolve(table: EnergyTable, schedule: AngleSchedule) -> StateVector:
@@ -235,22 +282,11 @@ def evolve(table: EnergyTable, schedule: AngleSchedule) -> StateVector:
     array it returns, with the table's scratch buffer as the only other
     state-sized array; the layers allocate nothing of the state's size.
     """
-    n = table.n_vars
-    _require_qubits(n)
-    # The level index (built on a table's first evolve) comes before the
-    # state, which then reuses the memory its sort freed.
-    levels, inverse = table.levels
-    psi = np.empty(1 << n, dtype=np.complex128)
-    _fill_frame(psi, 1, 2.0 ** (-n / 2.0))
-    scratch = table.scratch
-    phases = scratch.view(np.complex128)
-    groups = _group_views(psi, scratch)
-    for gamma, beta in zip(schedule.gammas, schedule.betas):
-        _phase_layer(psi, levels, inverse, gamma, phases)
-        _rotation_layer(groups, beta)
+    psi = Circuit(table).run(schedule.as_vector())
+    phases = table.scratch.view(np.complex128)
     _fill_frame(phases, 3, 1.0)
     psi *= phases
-    return StateVector(n, psi)
+    return StateVector(table.n_vars, psi)
 
 
 def expectation(state: StateVector, table: EnergyTable) -> float:

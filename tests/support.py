@@ -28,6 +28,17 @@ from tds_qaoa import (
     is_total_dominating_set,
 )
 from tds_qaoa.graphs import MAX_TABLE_BITS
+from tds_qaoa.optimize import (
+    _ALPHA,
+    _GAMMA,
+    _INITIAL_STEP_FRACTION,
+    _RHO,
+    _SIGMA,
+    TERMINATION_BUDGET,
+    TERMINATION_TOLERANCE,
+    OptimizationTrace,
+    OptimizerConfig,
+)
 
 # Minimum total dominating sets of the bundled 6-node benchmark graph.
 PAPER6_MIN_TDS = {
@@ -348,3 +359,95 @@ def reference_distribution_csv(result) -> str:
     for k in np.argsort(-result.exact_probabilities, kind="stable"):
         writer.writerow([bit_strings[k], repr(probs[k]), counts[k]])
     return out.getvalue()
+
+
+class _ReferenceBudgetExhausted(Exception):
+    pass
+
+
+def reference_minimize(objective, x0, config: OptimizerConfig) -> OptimizationTrace:
+    """The Nelder-Mead of tds_qaoa.optimize.minimize as first written.
+
+    It clips with np.clip, stores a copy of each evaluated point and takes
+    the centroid with np.mean of a list; minimize must give the same points,
+    values and stop reason bit for bit.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    lo = np.array([b[0] for b in config.bounds], dtype=np.float64)
+    hi = np.array([b[1] for b in config.bounds], dtype=np.float64)
+    if x0.shape != lo.shape:
+        raise ValueError(f"x0 has {x0.size} coordinates, bounds have {lo.size}")
+    if np.any(x0 < lo) or np.any(x0 > hi):
+        raise ValueError("x0 lies outside the bounds")
+
+    evaluations = []
+
+    def evaluate(x):
+        if len(evaluations) >= config.max_iterations:
+            raise _ReferenceBudgetExhausted
+        xc = np.clip(x, lo, hi)
+        value = float(objective(xc))
+        evaluations.append((xc.copy(), value))
+        return xc, value
+
+    dim = x0.size
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed % (1 << 63), 0x5E]))
+    base_step = _INITIAL_STEP_FRACTION * float(np.min(hi - lo))
+    termination = TERMINATION_BUDGET
+
+    try:
+        simplex = [evaluate(x0)]
+        for i in range(dim):
+            step = base_step * (0.5 + rng.random())
+            up_fits = x0[i] + step <= hi[i]
+            down_fits = x0[i] - step >= lo[i]
+            if up_fits and down_fits:
+                sign = 1.0 if rng.random() < 0.5 else -1.0
+            else:
+                sign = 1.0 if up_fits else -1.0
+            point = x0.copy()
+            point[i] += sign * step
+            simplex.append(evaluate(point))
+
+        while True:
+            simplex.sort(key=lambda pv: pv[1])
+            values = [v for _, v in simplex]
+            if max(values) - min(values) <= config.function_tolerance:
+                termination = TERMINATION_TOLERANCE
+                break
+
+            centroid = np.mean([p for p, _ in simplex[:-1]], axis=0)
+            worst_point, worst_value = simplex[-1]
+
+            xr, fr = evaluate(centroid + _ALPHA * (centroid - worst_point))
+            if fr < values[0]:
+                xe, fe = evaluate(centroid + _GAMMA * (xr - centroid))
+                simplex[-1] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < values[-2]:
+                simplex[-1] = (xr, fr)
+            else:
+                if fr < worst_value:
+                    xc, fc = evaluate(centroid + _RHO * (xr - centroid))
+                    threshold = fr
+                else:
+                    xc, fc = evaluate(centroid - _RHO * (centroid - worst_point))
+                    threshold = worst_value
+                if fc < threshold:
+                    simplex[-1] = (xc, fc)
+                else:
+                    best_point = simplex[0][0]
+                    simplex = [simplex[0]] + [
+                        evaluate(best_point + _SIGMA * (p - best_point))
+                        for p, _ in simplex[1:]
+                    ]
+    except _ReferenceBudgetExhausted:
+        termination = TERMINATION_BUDGET
+
+    best_index = int(np.argmin([v for _, v in evaluations]))
+    best_point, best_value = evaluations[best_index]
+    return OptimizationTrace(
+        evaluations=evaluations,
+        best_point=best_point,
+        best_value=best_value,
+        termination_reason=termination,
+    )

@@ -11,11 +11,18 @@ from tds_qaoa import (
     InfeasibleGraphError,
     Metrics,
     OptimizationTrace,
+    OptimizerConfig,
     RunConfig,
     RunResult,
+    angle_bounds,
+    build_energy_table,
     builtin_instance,
+    compile_tdp_qubo,
     compute_metrics,
+    default_ramp_scales,
+    evolve,
     index_to_bits,
+    initial_angles,
     is_total_dominating_set,
     run_single,
     run_sweep,
@@ -34,6 +41,7 @@ from support import (
     random_graph,
     reference_bit_strings,
     reference_distribution_csv,
+    reference_minimize,
 )
 
 
@@ -182,6 +190,25 @@ class TestRunSingle:
         result = run_single(config)
         assert result.trace.n_evaluations <= 40
 
+    def test_shot_objective_draws_the_evolve_estimators_counts(self):
+        """The sampled objective, fed by Circuit.probabilities, draws the counts that
+        multinomial draws from evolve's probabilities, so every trace value matches."""
+        config = RunConfig(layers_q=2, penalty=9.0, max_iterations=60, seed=4, objective_shots=500)
+        table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
+        rng = np.random.default_rng(derive_seed(config.seed, 3))
+
+        def evolve_estimator(x):
+            probs = evolve(table, AngleSchedule.from_vector(x)).probabilities()
+            counts = rng.multinomial(500, probs / probs.sum())
+            return float(np.einsum("i,i->", counts, table.energies)) / 500
+
+        x0 = initial_angles(2, *default_ramp_scales(2, 9.0)).as_vector()
+        opt_config = OptimizerConfig(60, angle_bounds(2), seed=derive_seed(config.seed, 1))
+        expected = reference_minimize(evolve_estimator, x0, opt_config)
+        trace = run_single(config).trace
+        assert trace.values() == expected.values()
+        assert trace.termination_reason == expected.termination_reason
+
     def test_infeasible_graph_raises(self, tmp_path):
         path = tmp_path / "isolated.txt"
         path.write_text("3 1\n0 1\n")
@@ -193,7 +220,7 @@ class TestRunSingle:
             RunConfig(penalty=3.0, penalty_multiplier=1.5)
 
     @pytest.mark.parametrize("name", ["layers_q", "max_iterations", "shots", "objective_shots", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_integer_fields_must_be_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             RunConfig(**{name: value})

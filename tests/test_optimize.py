@@ -2,13 +2,19 @@ import numpy as np
 import pytest
 
 from tds_qaoa import (
+    Circuit,
     OptimizerConfig,
     angle_bounds,
+    build_energy_table,
+    builtin_instance,
+    compile_tdp_qubo,
     default_ramp_scales,
     initial_angles,
     minimize,
 )
+from tds_qaoa.harness import derive_seed
 from tds_qaoa.optimize import TERMINATION_BUDGET, TERMINATION_TOLERANCE
+from support import reference_minimize
 
 
 def quadratic_1d(x):
@@ -134,7 +140,7 @@ class TestMinimize:
             OptimizerConfig(max_iterations=5, bounds=((0.0, 1.0),), function_tolerance=0.0)
 
     @pytest.mark.parametrize("name", ["max_iterations", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_integer_fields_must_be_integers(self, name, value):
         fields = {"max_iterations": 5, "bounds": ((0.0, 1.0),), name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
@@ -154,3 +160,41 @@ class TestMinimize:
         assert lines[0] == "evaluation_index,value"
         assert len(lines) == trace.n_evaluations + 1
         assert lines[1].startswith("0,")
+
+
+def _assert_same_trace(trace, expected):
+    assert trace.termination_reason == expected.termination_reason
+    assert trace.values() == expected.values()
+    assert all(np.array_equal(p, e) for (p, _), (e, _) in zip(trace.evaluations, expected.evaluations))
+    assert np.array_equal(trace.best_point, expected.best_point)
+    assert trace.best_value == expected.best_value
+
+
+class TestAgainstReferenceMinimize:
+    """minimize gives reference_minimize's points, values and stop reason bit for bit."""
+
+    @pytest.mark.parametrize("objective, x0, config", [
+        (quadratic_1d, [3.0], OptimizerConfig(100, ((-10.0, 10.0),))),
+        (lambda x: float(np.sum(x**2)), [1.0] * 5, OptimizerConfig(10, ((-10.0, 10.0),) * 5)),
+        (lambda x: float(x[0] ** 2 + x[1] ** 2), [1.7, 1.9], OptimizerConfig(200, ((0.5, 2.0),) * 2)),
+        (
+            lambda x: float(np.cos(x).sum() + 0.1 * np.sum(x**2)),
+            [1.0, 2.0, 0.5, 1.5],
+            OptimizerConfig(150, ((0.0, 2 * np.pi),) * 2 + ((0.0, np.pi),) * 2, seed=5),
+        ),
+        (lambda x: float(np.sin(3 * x[0]) + x[1] ** 2), [2.0, 2.0], OptimizerConfig(80, ((-5.0, 5.0),) * 2, seed=3)),
+        (lambda x: float(np.sum((x - 0.3) ** 2)), [1.0, -1.0], OptimizerConfig(60, ((-5.0, 5.0),) * 2, seed=9)),
+        (lambda x: float(np.sum(np.cos(5 * x))), [1.0, 1.0], OptimizerConfig(60, ((-5.0, 5.0),) * 2, seed=2)),
+    ])
+    def test_test_objectives(self, objective, x0, config):
+        _assert_same_trace(minimize(objective, x0, config), reference_minimize(objective, x0, config))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_headline_objective(self, seed):
+        """The paper's headline cell: q = 5, P = 9, 500 evaluations, seeded as run_single seeds it."""
+        circuit = Circuit(build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0)))
+        x0 = initial_angles(5, *default_ramp_scales(5, 9.0)).as_vector()
+        config = OptimizerConfig(500, angle_bounds(5), seed=derive_seed(seed, 1))
+        trace = minimize(circuit.expectation, x0, config)
+        _assert_same_trace(trace, reference_minimize(circuit.expectation, x0, config))
+        assert trace.n_evaluations == 500

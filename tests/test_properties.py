@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 
 from tds_qaoa import (
     AngleSchedule,
+    Circuit,
     EnergyTable,
     Graph,
     build_energy_table,
     compile_tdp_qubo,
     evolve,
+    expectation,
     marginalize_vertices,
     minimum_tds_bruteforce,
     parse_graph,
     qubit_counts,
 )
+from tds_qaoa.graphs import subset_sizes
 from support import (
     all_assignments,
     cardinality_violation_energies,
@@ -104,6 +107,27 @@ def test_evolve_matches_reference_layers(n, seed, integer_energies, schedule):
     out = evolve(EnergyTable(n, energies), schedule)
     expected = reference_evolve(energies, schedule.gammas, schedule.betas)
     assert np.abs(out.amplitudes - expected).max() <= 1e-12
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(
+    n=st.sampled_from([1, 3, 10, 14]),
+    q=st.sampled_from([1, 2, 5, 20]),
+    penalty=st.sampled_from([1.0, 9.0, 21.0, 2.7, 4.8, 13.5]),
+    data=st.data(),
+)
+def test_circuit_expectation_is_evolve_expectation(n, q, penalty, data):
+    """Circuit.expectation gives expectation(evolve(...)) bit for bit, call after call.
+
+    The table has the QUBO's form |D| + P * violations, with a popcount for |D|.
+    """
+    rng = np.random.default_rng(n)
+    table = EnergyTable(n, penalty * rng.integers(0, 5, size=1 << n) + subset_sizes(n))
+    circuit = Circuit(table)
+    for _ in range(2):
+        x = np.array(data.draw(st.lists(st.floats(-7.0, 7.0), min_size=2 * q, max_size=2 * q)))
+        expected = expectation(evolve(table, AngleSchedule.from_vector(x)), table)
+        assert circuit.expectation(x) == expected
 
 
 @DETERMINISTIC

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tds_qaoa import qaoa
 from tds_qaoa import (
     AngleSchedule,
+    Circuit,
     EnergyTable,
+    Graph,
     StateVector,
     apply_cost_layer,
     apply_mixer_layer,
@@ -188,11 +192,15 @@ class TestRotationFrame:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("beta", [0.7, 2.4])  # cos(beta) > 0, then < 0
     def test_signed_rotation_is_kronecker_power(self, k, beta):
-        c, s = np.cos(beta), np.sin(beta)
-        expected = np.eye(1)
-        for _ in range(k):
-            expected = np.kron(expected, np.array([[c, -s], [s, c]]))
-        assert np.abs(qaoa._rotation(k, c, s) - expected).max() <= 1e-15
+        betas = [beta, 0.3, 0.0]  # one batch of layers; R(0) is the identity
+        rotations = qaoa._rotations(k, np.cos(betas).tolist(), np.sin(betas).tolist())
+        assert rotations.shape == (3, 1 << k, 1 << k)
+        for layer, b in enumerate(betas):
+            c, s = np.cos(b), np.sin(b)
+            expected = np.eye(1)
+            for _ in range(k):
+                expected = np.kron(expected, np.array([[c, -s], [s, c]]))
+            assert np.abs(rotations[layer] - expected).max() <= 1e-15
 
     def test_results_own_their_memory(self):
         table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
@@ -203,6 +211,40 @@ class TestRotationFrame:
         assert not np.shares_memory(first.amplitudes, second.amplitudes)
         for state in (first, second):
             assert not np.shares_memory(state.amplitudes, table.scratch)
+
+
+class TestCircuit:
+    """The optimizer's entry point; its bits are pinned by test_properties against evolve."""
+
+    @pytest.mark.parametrize("x", [[0.1], [0.1, 0.2, 0.3], [], [[0.1, 0.2]]])
+    def test_bad_angle_vector_rejected(self, x):
+        circuit = Circuit(random_table(np.random.default_rng(0), 3))
+        with pytest.raises(ValueError, match="is not \\[gammas..., betas...\\]"):
+            circuit.expectation(x)
+
+    @pytest.mark.parametrize("n_vars, size", [(3, 16), (4, 8), (0, 1)])
+    def test_table_size_mismatch_rejected(self, n_vars, size):
+        table = EnergyTable(n_vars, np.zeros(size))
+        with pytest.raises(ValueError, match="energies of shape|qubit count"):
+            Circuit(table)
+        with pytest.raises(ValueError, match="energies of shape|qubit count"):
+            evolve(table, AngleSchedule((0.1,), (0.2,)))
+
+    def test_evaluations_reuse_their_buffers(self):
+        n = 14
+        cycle = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+        circuit = Circuit(build_energy_table(compile_tdp_qubo(cycle, 21.0)))
+        points = np.random.default_rng(14).uniform(0.0, np.pi, size=(21, 10))
+        circuit.expectation(points[0])  # builds the level index and the scratch buffer
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for x in points[1:]:
+                circuit.expectation(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < (1 << n) * 16
 
 
 class TestEvolve:
