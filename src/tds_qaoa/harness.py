@@ -289,12 +289,12 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
             return float(np.einsum("i,i->", counts, table.energies)) / config.objective_shots
 
     trace = minimize(objective, x0, opt_config)
-    # Free the circuit's state buffer before evolve allocates the final state.
+    # Free the circuit's two state buffers before evolve allocates its own.
     del circuit, objective
     best_schedule = AngleSchedule.from_vector(trace.best_point)
     final_state = evolve(table, best_schedule)
-    # Scoring and writing do not read the table: free it, its level index and its
-    # scratch buffer (32 B per basis state) before they allocate.
+    # Scoring and writing do not read the table: free it and its level index
+    # (16 B per basis state) before they allocate.
     del table
 
     n_vertex = model.registry.n_vertex_vars

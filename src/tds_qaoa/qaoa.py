@@ -18,7 +18,9 @@ every cost layer, and the Phi* Phi between two layers cancels:
 where Phi* |+> has amplitudes i^popcount(x) / 2^(n/2). `evolve` runs in
 that frame: each mixer layer is the real rotation R^{⊗n}, which turns the
 real and the imaginary parts alike and so acts on the float64 view of the
-amplitudes, and Phi is applied once, at the end.
+amplitudes, and Phi is applied once, at the end. R^{⊗n} is one matmul per
+group of qubits, each from one of two state buffers into the other, in
+qubit order (see _group_views).
 
 Qubit j is the j-th axis of the amplitude tensor (variable 0 = most
 significant bit, matching the energy-table convention).
@@ -39,6 +41,9 @@ from .qubo import EnergyTable
 # multiply-adds per float of the state: larger groups save calls, smaller
 # ones flops. At 5 the matrix is 32 x 32.
 _MIXER_GROUP = 5
+
+# Floats per operand block of a group's matmul: at 2^14 amplitudes, smaller GEMMs run faster.
+_BLOCK_FLOATS = 4096
 
 # i^m for m = 0..3: Phi* and Phi are i^popcount(x) and i^(3 * popcount(x)).
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -141,51 +146,62 @@ def _fill_frame(out: np.ndarray, turns: int, scale: float) -> None:
 
 @lru_cache(maxsize=None)
 def _rotation_index(k: int) -> np.ndarray:
-    """Position of R^{⊗k}[i, j] in [c^k, ..., s^k, -c^k, ..., -s^k], read-only.
+    """Position of R^{⊗k}[i, j] in [c^k, ..., s^k, -c^k, ..., -s^k]; shared, never written.
 
     R^{⊗k}[i, j] = c^(k-d) * s^d * (-1)^popcount(~i & j), d = popcount(i ^ j):
-    each bit where i is 0 and j is 1 takes the factor R[0, 1] = -s.
+    each bit where i is 0 and j is 1 takes the factor R[0, 1] = -s. It stays
+    writable because take copies a read-only index (8 KB at k = 5) before it gathers.
     """
     index = np.arange(1 << k)
     popcount = subset_sizes(k)
     distance = popcount[index[:, None] ^ index]
     negative = popcount[~index[:, None] & index] & 1
-    position = (distance + (k + 1) * negative).astype(np.intp)
-    position.setflags(write=False)
-    return position
+    return (distance + (k + 1) * negative).astype(np.intp)
 
 
 def _rotations(k: int, cos: list[float], sin: list[float]) -> np.ndarray:
     """Each layer's signed real R^{⊗k} from its cos(beta) and sin(beta): (layers, 2^k, 2^k)."""
-    powers = [[c ** (k - d) * s**d for d in range(k + 1)] for c, s in zip(cos, sin)]
-    return np.array([p + [-v for v in p] for p in powers]).take(_rotation_index(k), axis=1)
+    powers = np.array([[c ** (k - d) * s**d for d in range(k + 1)] for c, s in zip(cos, sin)])
+    return np.concatenate((powers, -powers), axis=1).take(_rotation_index(k), axis=1)
 
 
-def _group_views(psi: np.ndarray, scratch: np.ndarray) -> list[tuple]:
-    """Per mixer group of psi: (k, operand, product, destination, source).
+def _right_operand(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros of shape (2^(k+1), 2^(k+1)), and their view [a, j, i] = [2j + a, 2i + a].
 
-    The operand is psi's float64 view with the group's 2^k rows leading, and
-    the product, in scratch, has its shape. Copying the product transposed,
-    as a complex (2^(n-k), 2^k) array, back into psi moves the group's axes
-    behind the others: the next group then leads, and after the last group
-    the qubits are back in order. Groups of one size share their views.
+    Assigning R^{⊗k}.T to the view makes the zeros (R^{⊗k})^T ⊗ I_2, which applies
+    R^{⊗k} to the float64 view of amplitudes from the right.
     """
-    flat = psi.view(np.float64)
-    sizes = _group_sizes(psi.size.bit_length() - 1)
-    views = {}
-    for k in set(sizes):
-        rows = 1 << k
-        product = scratch.reshape(rows, -1)
-        source = product.view(np.complex128).T
-        views[k] = (k, flat.reshape(rows, -1), product, psi.reshape(-1, rows), source)
-    return [views[k] for k in sizes]
+    right = np.zeros((2 << k, 2 << k))
+    return right, np.einsum("jaia->aji", right.reshape(1 << k, 2, 1 << k, 2))
+
+
+def _group_views(buffer: np.ndarray) -> list[np.ndarray]:
+    """Per mixer group, buffer's float64 view shaped for the group's product; none copies.
+
+    Group k behind `lead` qubits: R^{⊗k} @ (2^lead, blocks, 2^k, cols). The last of two
+    or more: (blocks, rows, 2^(k+1)) @ ((R^{⊗k})^T ⊗ I_2); a lone group would have
+    one row, which numpy rounds differently. Blocks hold about _BLOCK_FLOATS floats.
+    """
+    n = buffer.size.bit_length() - 1
+    flat = buffer.view(np.float64)
+    sizes = _group_sizes(n)
+    views, lead = [], 0
+    for k in sizes[: max(1, len(sizes) - 1)]:
+        row = 2 << (n - lead - k)
+        cols = min(row, _BLOCK_FLOATS >> k)
+        views.append(flat.reshape(1 << lead, 1 << k, row // cols, cols).transpose(0, 2, 1, 3))
+        lead += k
+    if len(sizes) > 1:
+        width = 2 << sizes[-1]
+        views.append(flat.reshape(-1, min(flat.size, _BLOCK_FLOATS) // width, width))
+    return views
 
 
 def apply_cost_layer(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
     """Diagonal phase amplitude[k] *= exp(-i * gamma * energies[k]): a circuit layer at beta = 0."""
     _require_same_size(table, state)
     circuit = Circuit(table)
-    circuit._psi[:] = state.amplitudes
+    circuit._buffers[0][:] = state.amplitudes
     return StateVector(state.n_qubits, circuit._layers([gamma, 0.0]))
 
 
@@ -197,20 +213,18 @@ def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
     beta = 0 returns the amplitudes exactly.
     """
     circuit = Circuit(EnergyTable(state.n_qubits, np.zeros(1 << state.n_qubits)))
-    psi, frame = circuit._psi, circuit.table.scratch.view(np.complex128)
+    psi, frame = circuit._buffers
     _fill_frame(frame, 1, 1.0)
     np.multiply(state.amplitudes, frame, out=psi)
-    circuit._layers([0.0, beta])
+    psi = circuit._layers([0.0, beta])
+    frame = circuit._other(psi)
     _fill_frame(frame, 3, 1.0)
     psi *= frame
     return StateVector(state.n_qubits, psi)
 
 
 class Circuit:
-    """The circuit on one table, with one state buffer that every run overwrites.
-
-    Runs also overwrite the table's scratch buffer: run no two of a table's circuits at once.
-    """
+    """The circuit on one table, in two state buffers that each run overwrites: one at a time."""
 
     def __init__(self, table: EnergyTable):
         n = table.n_vars
@@ -219,24 +233,30 @@ class Circuit:
             raise ValueError(f"table of {n} variables has energies of shape {table.energies.shape}")
         self.table = table
         # The level index (built on a table's first run) comes before the
-        # state, which then reuses the memory its sort freed.
-        self._levels, self._inverse = table.levels
-        self._psi = np.empty(1 << n, dtype=np.complex128)
-        self._groups = _group_views(self._psi, table.scratch)
+        # buffers, which then reuse the memory its sort freed.
+        self._levels, self._inverse = table._level_index
+        self._buffers = tuple(np.empty(1 << n, dtype=np.complex128) for _ in range(2))
+        # Per group: (k, (its view of the first buffer, its view of the second)).
+        groups = list(zip(_group_sizes(n), zip(*map(_group_views, self._buffers))))
+        self._last = groups.pop() if len(groups) > 1 else (None, None)
+        self._left, self._sizes = groups, set(_group_sizes(n))
+        self._right = _right_operand(self._last[0]) if self._last[0] else (None, None)
 
     def run(self, x) -> np.ndarray:
-        """The state at angles x = [gammas..., betas...] in the rotation frame, in the buffer."""
-        _fill_frame(self._psi, 1, 2.0 ** (-self.table.n_vars / 2.0))
+        """The state at angles x = [gammas..., betas...] in the rotation frame, in a buffer."""
+        _fill_frame(self._buffers[0], 1, 2.0 ** (-self.table.n_vars / 2.0))
         return self._layers(x)
 
-    def _layers(self, x) -> np.ndarray:
-        """The layers of x on the state buffer, in place, in the rotation frame.
+    def _other(self, psi: np.ndarray) -> np.ndarray:
+        """The buffer that does not hold psi."""
+        return self._buffers[psi is self._buffers[0]]
 
-        Each layer gathers its phase per basis state from one per distinct
-        energy, then runs R(beta) as one real matmul and one transposed copy
-        per qubit group (see _group_views). One np.exp gives every layer's
-        phases, q * len(levels) complex numbers (62 levels at paper6, 2^n at
-        worst), and one gather per group size every layer's R^{⊗k}.
+    def _layers(self, x) -> np.ndarray:
+        """The layers of x on the state in the first buffer; returns the buffer it ends in.
+
+        Each layer gathers its phases into the free buffer, one per distinct energy
+        (one np.exp gives every layer's: q * 62 at paper6, q * 2^n at worst), then
+        runs R(beta) as one matmul per qubit group (see _group_views).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size % 2 or not x.size:
@@ -244,29 +264,37 @@ class Circuit:
         q = x.size // 2
         betas = x[q:].tolist()
         cos, sin = [math.cos(b) for b in betas], [math.sin(b) for b in betas]
-        rotations = {k: _rotations(k, cos, sin) for k in {group[0] for group in self._groups}}
+        # Phases before rotations: np.multiply.outer buffers about 14 KB while it runs.
         level_phases = np.multiply.outer(-1j * x[:q], self._levels)
         np.exp(level_phases, out=level_phases)
-        psi, phases = self._psi, self.table.scratch.view(np.complex128)
+        rotations = {k: _rotations(k, cos, sin) for k in self._sizes}
+        last, last_views = self._last
+        right, right_view = self._right
+        state = 0
         for layer in range(q):
+            psi, phases = self._buffers[state], self._buffers[1 - state]
             # mode="clip" gathers straight into phases; the default mode buffers the
             # output. inverse is in range, so clipping changes nothing.
             level_phases[layer].take(self._inverse, out=phases, mode="clip")
             # Operands in the order of amplitudes * phases: numpy's complex product
             # can round differently with them swapped.
             np.multiply(psi, phases, out=psi)
-            for k, operand, product, destination, source in self._groups:
-                np.matmul(rotations[k][layer], operand, out=product)
-                np.copyto(destination, source)
-        return psi
+            for k, views in self._left:
+                np.matmul(rotations[k][layer], views[state], out=views[1 - state])
+                state ^= 1
+            if last:
+                right_view[...] = rotations[last][layer].T
+                np.matmul(last_views[state], right, out=last_views[1 - state])
+                state ^= 1
+        return self._buffers[state]
 
     def probabilities(self, x) -> np.ndarray:
-        """|amplitude|^2 at angles x, in the table's scratch buffer, which the run has freed.
+        """|amplitude|^2 at angles x, in the buffer that the state is not in.
 
         evolve's final Phi is skipped: its entries are units, so |Phi z| = |z| exactly.
         """
         psi = self.run(x)
-        probs = self.table.scratch[: psi.size]
+        probs = self._other(psi).view(np.float64)[: psi.size]
         np.abs(psi, out=probs)
         return np.square(probs, out=probs)
 
@@ -278,12 +306,12 @@ class Circuit:
 def evolve(table: EnergyTable, schedule: AngleSchedule) -> StateVector:
     """Run the full circuit: uniform state, then (cost, mixer) per layer.
 
-    Runs in the rotation frame of the module docstring, in place in the
-    array it returns, with the table's scratch buffer as the only other
-    state-sized array; the layers allocate nothing of the state's size.
+    Runs in the rotation frame of the module docstring, in a Circuit's two
+    buffers, and returns the one the state ends in; the other is freed.
     """
-    psi = Circuit(table).run(schedule.as_vector())
-    phases = table.scratch.view(np.complex128)
+    circuit = Circuit(table)
+    psi = circuit.run(schedule.as_vector())
+    phases = circuit._other(psi)
     _fill_frame(phases, 3, 1.0)
     psi *= phases
     return StateVector(table.n_vars, psi)

@@ -144,9 +144,12 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
     turns a multiple of |V| (1.5 by default) into one. Raises
     InfeasibleGraphError when the graph has an isolated vertex (the covering
     constraint sum over an empty neighborhood cannot be satisfied), and
-    ValueError when |V| + p * (the largest total violation) reaches 2^53,
-    past which float64 energies round |D| away.
+    ValueError when the graph has no vertices (there is nothing to encode,
+    and the default penalty 1.5 * |V| is 0) or when |V| + p * (the largest
+    total violation) reaches 2^53, past which float64 energies round |D| away.
     """
+    if g.n_vertices == 0:
+        raise ValueError("graph has no vertices: a QUBO needs at least one variable")
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"punishment coefficient must be finite and positive, got {p}")
 
@@ -239,22 +242,14 @@ class EnergyTable:
         """Distinct energies, sorted, and the index of each entry's energy among them.
 
         levels[inverse] == energies. Computed once per table; both arrays are
-        read-only.
+        read-only views of _level_index.
         """
-        levels, inverse = np.unique(self.energies, return_inverse=True)
-        levels.setflags(write=False)
-        inverse.setflags(write=False)
-        return levels, inverse
+        return tuple(np.lib.stride_tricks.as_strided(a, writeable=False) for a in self._level_index)
 
     @cached_property
-    def scratch(self) -> np.ndarray:
-        """Work buffer of the statevector kernel: 2^(n_vars + 1) float64, one complex state.
-
-        Allocated on first use and kept with the table, so repeated evolves
-        of it allocate no per-layer buffers. Every evolve overwrites it: do
-        not evolve one table from two threads at once.
-        """
-        return np.empty(2 << self.n_vars)
+    def _level_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """levels, writable for the kernel's gathers (take copies a read-only index); unwritten."""
+        return np.unique(self.energies, return_inverse=True)
 
 
 def build_energy_table(m: QuboModel) -> EnergyTable:

@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from tds_qaoa import qaoa
 from tds_qaoa import (
+    EnergyTable,
     Graph,
     InfeasibleGraphError,
     QuboModel,
@@ -154,6 +156,55 @@ def reference_evolve(energies: np.ndarray, gammas, betas) -> np.ndarray:
     for gamma, beta in zip(gammas, betas):
         state = reference_mixer_layer(reference_cost_layer(state, energies, gamma), beta)
     return state.amplitudes
+
+
+def _reference_group_views(psi: np.ndarray, scratch: np.ndarray) -> list[tuple]:
+    """Per mixer group of psi: (k, operand, product, destination, source).
+
+    The operand is psi's float64 view with the group's 2^k rows leading, and
+    the product, in scratch, has its shape. Copying the product transposed,
+    as a complex (2^(n-k), 2^k) array, back into psi moves the group's axes
+    behind the others: the next group then leads, and after the last group
+    the qubits are back in order. Groups of one size share their views.
+    """
+    flat = psi.view(np.float64)
+    sizes = qaoa._group_sizes(psi.size.bit_length() - 1)
+    views = {}
+    for k in set(sizes):
+        rows = 1 << k
+        product = scratch.reshape(rows, -1)
+        source = product.view(np.complex128).T
+        views[k] = (k, flat.reshape(rows, -1), product, psi.reshape(-1, rows), source)
+    return [views[k] for k in sizes]
+
+
+def reference_layers(table: EnergyTable, x) -> np.ndarray:
+    """Circuit(table).run(x) as the kernel first computed it, with transposed copies.
+
+    Each mixer group is one real matmul over the whole state into a scratch
+    buffer, then one transposed copy back (see _reference_group_views). The
+    copy-free kernel must give the same bits.
+    """
+    n = table.n_vars
+    x = np.asarray(x, dtype=np.float64)
+    q = x.size // 2
+    betas = x[q:].tolist()
+    cos, sin = [math.cos(b) for b in betas], [math.sin(b) for b in betas]
+    psi = np.empty(1 << n, dtype=np.complex128)
+    scratch = np.empty(2 << n)
+    groups = _reference_group_views(psi, scratch)
+    rotations = {k: qaoa._rotations(k, cos, sin) for k in {group[0] for group in groups}}
+    levels, inverse = table.levels
+    level_phases = np.exp(np.multiply.outer(-1j * x[:q], levels))
+    qaoa._fill_frame(psi, 1, 2.0 ** (-n / 2.0))
+    phases = scratch.view(np.complex128)
+    for layer in range(q):
+        level_phases[layer].take(inverse, out=phases, mode="clip")
+        np.multiply(psi, phases, out=psi)
+        for k, operand, product, destination, source in groups:
+            np.matmul(rotations[k][layer], operand, out=product)
+            np.copyto(destination, source)
+    return psi
 
 
 def all_assignments(n_vars: int):

@@ -269,6 +269,38 @@ class TestSweep:
         assert "cells: 1" in capsys.readouterr().out
 
 
+class TestEmptyGraph:
+    """A graph with no vertices: the solvers refuse it by name, the counters answer 0."""
+
+    @pytest.fixture
+    def empty_graph(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["run", "--P", "3"], ["compile"], ["sweep", "--q-list", "1", "--maxiter-list", "3"]],
+    )
+    def test_solvers_exit_usage(self, empty_graph, tmp_path, capsys, argv):
+        assert cli_entry([*argv, "--graph", empty_graph, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "graph has no vertices" in captured.err
+        assert "cells:" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_bound_answers_zero(self, empty_graph, capsys):
+        assert cli_entry(["bound", "--graph", empty_graph]) == EXIT_OK
+        out = capsys.readouterr().out
+        for line in ("n_vertices=0 n_edges=0", "q_tdp=0", "q_dp=0", "gap=0"):
+            assert line in out
+
+    def test_oracle_answers_zero(self, empty_graph, capsys):
+        assert cli_entry(["oracle", "--graph", empty_graph]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "minimum TDS size: 0" in out and "minimum DS size: 0" in out
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert cli_entry(["oracle", "--bogus"]) == EXIT_USAGE

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tds_qaoa import qaoa
+from tds_qaoa.graphs import subset_sizes
 from tds_qaoa import (
     AngleSchedule,
     Circuit,
@@ -26,6 +27,7 @@ from support import (
     dense_evolve_oracle,
     reference_cost_layer,
     reference_evolve,
+    reference_layers,
     reference_mixer_layer,
 )
 
@@ -37,6 +39,23 @@ def random_table(rng, n, scale=3.0):
 def random_state(rng, n):
     amplitudes = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+
+
+def c14_evaluation_peak(seed: int) -> int:
+    """Peak bytes that tracemalloc sees above the start over 20 q = 5 evaluations on C_14."""
+    n = 14
+    cycle = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    circuit = Circuit(build_energy_table(compile_tdp_qubo(cycle, 21.0)))
+    points = np.random.default_rng(seed).uniform(0.0, np.pi, size=(21, 10))
+    circuit.expectation(points[0])  # builds the level index
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for x in points[1:]:
+            circuit.expectation(x)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 # One mixer group (n <= 5), then two or three groups of equal and of unequal sizes.
@@ -195,12 +214,15 @@ class TestRotationFrame:
         betas = [beta, 0.3, 0.0]  # one batch of layers; R(0) is the identity
         rotations = qaoa._rotations(k, np.cos(betas).tolist(), np.sin(betas).tolist())
         assert rotations.shape == (3, 1 << k, 1 << k)
+        right, view = qaoa._right_operand(k)
         for layer, b in enumerate(betas):
             c, s = np.cos(b), np.sin(b)
             expected = np.eye(1)
             for _ in range(k):
                 expected = np.kron(expected, np.array([[c, -s], [s, c]]))
             assert np.abs(rotations[layer] - expected).max() <= 1e-15
+            view[...] = rotations[layer].T  # as the last mixer group's right operand
+            assert np.abs(right - np.kron(expected.T, np.eye(2))).max() <= 1e-15
 
     def test_results_own_their_memory(self):
         table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
@@ -210,11 +232,29 @@ class TestRotationFrame:
         assert np.array_equal(first.amplitudes, kept)
         assert not np.shares_memory(first.amplitudes, second.amplitudes)
         for state in (first, second):
-            assert not np.shares_memory(state.amplitudes, table.scratch)
+            assert state.amplitudes.flags.owndata
+        # evolve returns the buffer its circuit's run ends in; the other holds the frame.
+        circuit = Circuit(table)
+        for x in ([0.4, 1.2, 0.7, 0.3], [2.1, 1.9]):
+            psi = circuit.run(x)
+            assert psi.flags.owndata
+            assert any(psi is buffer for buffer in circuit._buffers)
+            assert not np.shares_memory(psi, circuit._other(psi))
 
 
 class TestCircuit:
     """The optimizer's entry point; its bits are pinned by test_properties against evolve."""
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 10, 11, 14, 16, 17])  # 1 to 4 groups, both parities
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    @pytest.mark.parametrize("penalty", [9.0, 4.8])
+    def test_run_matches_transposed_copy_kernel(self, n, q, penalty):
+        rng = np.random.default_rng(1000 * n + q)
+        table = EnergyTable(n, penalty * rng.integers(0, 5, size=1 << n) + subset_sizes(n))
+        circuit = Circuit(table)
+        for x in rng.uniform(-7.0, 7.0, size=(2, 2 * q)):
+            expected = reference_layers(table, x).view(np.float64)
+            assert np.array_equal(circuit.run(x).view(np.float64), expected)
 
     @pytest.mark.parametrize("x", [[0.1], [0.1, 0.2, 0.3], [], [[0.1, 0.2]]])
     def test_bad_angle_vector_rejected(self, x):
@@ -231,20 +271,11 @@ class TestCircuit:
             evolve(table, AngleSchedule((0.1,), (0.2,)))
 
     def test_evaluations_reuse_their_buffers(self):
-        n = 14
-        cycle = Graph(n, [(v, (v + 1) % n) for v in range(n)])
-        circuit = Circuit(build_energy_table(compile_tdp_qubo(cycle, 21.0)))
-        points = np.random.default_rng(14).uniform(0.0, np.pi, size=(21, 10))
-        circuit.expectation(points[0])  # builds the level index and the scratch buffer
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            for x in points[1:]:
-                circuit.expectation(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - start < (1 << n) * 16
+        assert c14_evaluation_peak(seed=14) < (1 << 14) * 16
+
+    def test_evaluations_copy_no_level_index(self):
+        """A gather with a read-only index would copy it, 8 B per amplitude per layer."""
+        assert c14_evaluation_peak(seed=15) < (1 << 14) * 4
 
 
 class TestEvolve:

@@ -104,6 +104,11 @@ class TestCompile:
         with pytest.raises(InfeasibleGraphError):
             compile_tdp_qubo(Graph(3, [(0, 1)]), 2.0)
 
+    @pytest.mark.parametrize("p", [0.0, 3.0])
+    def test_empty_graph_rejected_before_the_penalty(self, p):
+        with pytest.raises(ValueError, match="graph has no vertices"):
+            compile_tdp_qubo(Graph(0, []), p)
+
     def test_nonpositive_penalty_rejected(self):
         with pytest.raises(ValueError):
             compile_tdp_qubo(builtin_instance(), 0.0)
