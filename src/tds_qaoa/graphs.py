@@ -19,6 +19,12 @@ from typing import Iterable
 import numpy as np
 
 
+def require_integer(name: str, value) -> None:
+    """Raise ValueError naming the field unless value has __index__ and is not a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class InfeasibleGraphError(ValueError):
     """Raised when a graph admits no total dominating set (isolated vertex)."""
 
@@ -34,12 +40,8 @@ class Graph:
     __slots__ = ("n_vertices", "edges", "_adjacency")
 
     def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]]):
-        try:
-            n = operator.index(n_vertices)
-        except TypeError:
-            n = None
-        if n is None or isinstance(n_vertices, bool):
-            raise ValueError(f"n_vertices must be an integer, got {n_vertices!r}")
+        require_integer("n_vertices", n_vertices)
+        n = operator.index(n_vertices)
         if n < 0:
             raise ValueError(f"n_vertices must be nonnegative, got {n}")
         self.n_vertices = n

@@ -27,7 +27,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .graphs import Graph, load_graph, subset_table
+from .graphs import Graph, load_graph, require_integer, subset_table
 # perfbench/tracer.py wraps these names where harness binds them.
 from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
 from .qaoa import expectation  # noqa: F401
@@ -38,7 +38,6 @@ from .optimize import (
     default_ramp_scales,
     initial_angles,
     minimize,
-    require_integer,
 )
 from .qaoa import AngleSchedule, Circuit, evolve, marginalize_vertices, sample
 from .qubo import build_energy_table, compile_tdp_qubo, index_to_bits
@@ -262,8 +261,7 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
     start = time.perf_counter()
     g = graph if graph is not None else load_graph(config.graph_source)
     penalty = config.resolve_penalty(g)
-    model = compile_tdp_qubo(g, penalty)
-    table = build_energy_table(model)
+    table = build_energy_table(compile_tdp_qubo(g, penalty))
 
     q = config.layers_q
     auto_gamma, auto_beta = default_ramp_scales(q, penalty)
@@ -284,24 +282,23 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
         estimator_rng = np.random.default_rng(derive_seed(config.seed, 3))
 
         def objective(x: np.ndarray) -> float:
-            probs = circuit.probabilities(x)
-            counts = estimator_rng.multinomial(config.objective_shots, probs / probs.sum())
+            counts = sample(circuit.probabilities(x), config.objective_shots, estimator_rng)
             return float(np.einsum("i,i->", counts, table.energies)) / config.objective_shots
 
     trace = minimize(objective, x0, opt_config)
     # Free the circuit's two state buffers before evolve allocates its own.
     del circuit, objective
     best_schedule = AngleSchedule.from_vector(trace.best_point)
-    final_state = evolve(table, best_schedule)
-    # Scoring and writing do not read the table: free it and its level index
-    # (16 B per basis state) before they allocate.
+    probs = evolve(table, best_schedule).probabilities()
+    # Scoring reads only the two vertex marginals: the table and its level
+    # index (16 B per basis state), |psi|^2 and the raw shot counts are freed
+    # before it allocates.
     del table
-
-    n_vertex = model.registry.n_vertex_vars
-    probs = final_state.probabilities()
-    exact = marginalize_vertices(probs, n_vertex) / probs.sum()
-    shot_counts = sample(final_state, config.shots, derive_seed(config.seed, 2))
-    counts = marginalize_vertices(shot_counts, n_vertex)
+    exact = marginalize_vertices(probs, g.n_vertices) / probs.sum()
+    counts = marginalize_vertices(
+        sample(probs, config.shots, derive_seed(config.seed, 2)), g.n_vertices
+    )
+    del probs
     scored = exact if config.exact_metrics else counts / counts.sum()
     metrics = compute_metrics(scored, g)
 
@@ -382,6 +379,7 @@ def run_sweep(
     error in the row's error column and does not stop the sweep.
     """
     for name, value in (("n_seeds", n_seeds), ("workers", workers)):
+        require_integer(name, value)
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     for name, values in (

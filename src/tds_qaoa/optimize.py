@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .graphs import require_integer
 from .qaoa import AngleSchedule
 
 TERMINATION_BUDGET = "budget_exhausted"
@@ -53,12 +54,6 @@ class OptimizerConfig:
         for lo, hi in self.bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
-
-
-def require_integer(name: str, value) -> None:
-    """Raise ValueError naming the field unless value has __index__ and is not a bool."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import MAX_TABLE_BITS, subset_sizes
+from .graphs import MAX_TABLE_BITS, require_integer, subset_sizes
 from .qubo import EnergyTable
 
 # Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
@@ -59,9 +59,6 @@ class StateVector:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -103,13 +100,6 @@ def _require_same_size(table: EnergyTable, state: StateVector) -> None:
         raise ValueError(
             f"energy table has {table.n_vars} variables, state has {state.n_qubits} qubits"
         )
-
-
-def uniform_state(n: int) -> StateVector:
-    """Equal superposition of all 2^n basis states (Hadamard on every qubit)."""
-    _require_qubits(n)
-    amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
-    return StateVector(n, amp)
 
 
 @lru_cache(maxsize=None)
@@ -327,16 +317,16 @@ def expectation(state: StateVector, table: EnergyTable) -> float:
     return float(np.einsum("i,i->", state.probabilities(), table.energies))
 
 
-def sample(state: StateVector, shots: int, seed: int) -> np.ndarray:
-    """Multinomial measurement: dense count per basis state, total = shots.
+def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Multinomial measurement of basis-state probabilities: dense counts, total = shots.
 
-    Deterministic for a fixed seed.
+    probs is normalized here. seed is an int or a numpy Generator, which is
+    drawn from as is; a fixed int seed gives fixed counts.
     """
+    require_integer("shots", shots)
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    return np.random.default_rng(seed).multinomial(shots, probs)
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
 def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
@@ -351,6 +341,7 @@ def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
     n_qubits = size.bit_length() - 1
     if 1 << n_qubits != size:
         raise ValueError(f"dense distribution length {size} is not a power of two")
+    require_integer("n_vertex_vars", n_vertex_vars)
     if not 0 <= n_vertex_vars <= n_qubits:
         raise ValueError(f"n_vertex_vars={n_vertex_vars} out of range for {n_qubits} qubits")
     return np.asarray(dist).reshape(1 << n_vertex_vars, -1).sum(axis=1)

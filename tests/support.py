@@ -133,6 +133,12 @@ def dense_evolve_oracle(energies: np.ndarray, gammas, betas) -> np.ndarray:
     return state
 
 
+def uniform_state(n: int) -> StateVector:
+    """Equal superposition of all 2^n basis states (Hadamard on every qubit)."""
+    qaoa._require_qubits(n)
+    return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
+
+
 def reference_cost_layer(state: StateVector, energies: np.ndarray, gamma: float) -> StateVector:
     """Cost phase from one complex exponential per basis state."""
     return StateVector(state.n_qubits, state.amplitudes * np.exp(-1j * gamma * energies))
@@ -152,7 +158,7 @@ def reference_mixer_layer(state: StateVector, beta: float) -> StateVector:
 def reference_evolve(energies: np.ndarray, gammas, betas) -> np.ndarray:
     """Amplitudes of the layered circuit composed from the two reference layers."""
     n = len(energies).bit_length() - 1
-    state = StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex))
+    state = uniform_state(n)
     for gamma, beta in zip(gammas, betas):
         state = reference_mixer_layer(reference_cost_layer(state, energies, gamma), beta)
     return state.amplitudes

@@ -209,6 +209,23 @@ class TestRunSingle:
         assert trace.values() == expected.values()
         assert trace.termination_reason == expected.termination_reason
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_scoring_holds_no_state_sized_array(self, exact):
+        """The run peaks in the circuit phase: the table and its level index
+        (16 B/amp) with two state buffers (32 B/amp). Scoring runs after the
+        final state, |psi|^2 and the raw shot counts are freed."""
+        n = 16
+        cycle = Graph(n, [(v, (v + 1) % n) for v in range(n)])
+        config = RunConfig(layers_q=2, max_iterations=3, seed=0, exact_metrics=exact)
+        run_single(config, graph=cycle)  # fills the per-size caches
+        tracemalloc.start()
+        try:
+            run_single(config, graph=cycle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * (1 << n)
+
     def test_infeasible_graph_raises(self, tmp_path):
         path = tmp_path / "isolated.txt"
         path.write_text("3 1\n0 1\n")
@@ -466,11 +483,16 @@ class TestRunSweep:
         ("edge", {"maxiter_values": (5, 5)}, ValueError, "maxiter_values repeats"),
         ("edge", {"workers": 0}, ValueError, "workers must be at least 1, got 0"),
         ("edge", {"workers": -3}, ValueError, "workers must be at least 1, got -3"),
+        ("edge", {"n_seeds": 1.5}, ValueError, "n_seeds must be an integer, got 1.5"),
+        ("edge", {"n_seeds": "2"}, ValueError, "n_seeds must be an integer, got '2'"),
+        ("edge", {"n_seeds": True}, ValueError, "n_seeds must be an integer, got True"),
+        ("edge", {"workers": 2.5}, ValueError, "workers must be an integer, got 2.5"),
         # The edge graph's two constraints violate at most once each: 2 + P * 2 >= 2^53.
         ("edge", {"multiplier_values": (1.5, 1e303)}, ValueError, r"punishment coefficient 2e\+303 is too large"),
     ], ids=[
         "missing-file", "q-0", "maxiter-0", "mult-0", "mult-nan", "seeds-0", "seeds-neg",
-        "q-repeated", "mult-repeated", "maxiter-repeated", "workers-0", "workers-neg", "mult-too-large",
+        "q-repeated", "mult-repeated", "maxiter-repeated", "workers-0", "workers-neg",
+        "seeds-float", "seeds-str", "seeds-bool", "workers-float", "mult-too-large",
     ])
     def test_bad_input_raises_before_any_cell(self, tmp_path, monkeypatch, source, options, error, match):
         def no_cell_may_run(*args, **kwargs):

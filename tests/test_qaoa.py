@@ -21,7 +21,6 @@ from tds_qaoa import (
     expectation,
     marginalize_vertices,
     sample,
-    uniform_state,
 )
 from support import (
     dense_evolve_oracle,
@@ -29,6 +28,7 @@ from support import (
     reference_evolve,
     reference_layers,
     reference_mixer_layer,
+    uniform_state,
 )
 
 
@@ -113,7 +113,7 @@ class TestCostLayer:
         table = random_table(rng, 5)
         state = uniform_state(5)
         out = apply_cost_layer(state, table, 1.7)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ class TestEvolve:
             schedule = AngleSchedule(
                 tuple(rng.uniform(0, 2 * np.pi, q)), tuple(rng.uniform(0, np.pi, q))
             )
-            assert evolve(table, schedule).norm() == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(evolve(table, schedule).amplitudes) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_extension_is_exact(self):
         table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
@@ -339,28 +339,49 @@ class TestExpectation:
 
 class TestSample:
     def test_point_distribution(self):
-        amp = np.zeros(8, dtype=complex)
-        amp[5] = 1.0
-        counts = sample(StateVector(3, amp), 1000, seed=0)
+        probs = np.zeros(8)
+        probs[5] = 1.0
+        counts = sample(probs, 1000, seed=0)
         assert counts.tolist() == [0, 0, 0, 0, 0, 1000, 0, 0]
 
     def test_deterministic_for_fixed_seed(self):
-        state = uniform_state(6)
-        assert np.array_equal(sample(state, 5000, seed=42), sample(state, 5000, seed=42))
+        probs = uniform_state(6).probabilities()
+        assert np.array_equal(sample(probs, 5000, seed=42), sample(probs, 5000, seed=42))
 
     def test_total_counts(self):
-        counts = sample(uniform_state(4), 12345, seed=1)
+        counts = sample(uniform_state(4).probabilities(), 12345, seed=1)
         assert counts.sum() == 12345
 
     def test_uniform_convergence_total_variation(self):
-        state = uniform_state(10)
-        empirical = sample(state, 100_000, seed=3) / 100_000
+        probs = uniform_state(10).probabilities()
+        empirical = sample(probs, 100_000, seed=3) / 100_000
         tv = 0.5 * np.abs(empirical - 1 / 1024).sum()
         assert tv < 0.05
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            sample(uniform_state(2), 0, seed=0)
+            sample(uniform_state(2).probabilities(), 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [2.5, 3.0, "3", True])
+    def test_shots_must_be_an_integer(self, shots):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            sample(uniform_state(2).probabilities(), shots, seed=0)
+
+    def test_normalizes_its_input(self):
+        probs = np.random.default_rng(5).random(64)
+        expected = np.random.default_rng(9).multinomial(1000, probs / probs.sum())
+        assert np.array_equal(sample(probs, 1000, seed=9), expected)
+        # Doubling is exact, so the normalized array and the draw are unchanged.
+        assert np.array_equal(sample(2 * probs, 1000, seed=9), expected)
+
+    def test_generator_seed_is_drawn_from_as_is(self):
+        probs = np.random.default_rng(6).random(32)
+        reference = np.random.default_rng(11)
+        expected = [reference.multinomial(500, probs / probs.sum()) for _ in range(3)]
+        rng = np.random.default_rng(11)
+        draws = [sample(probs, 500, rng) for _ in range(3)]
+        assert all(map(np.array_equal, draws, expected))
+        assert np.array_equal(draws[0], sample(probs, 500, seed=11))
 
 
 class TestMarginalize:
@@ -395,3 +416,8 @@ class TestMarginalize:
     def test_bad_shape_rejected(self, size, n_vertex):
         with pytest.raises(ValueError):
             marginalize_vertices(np.ones(size), n_vertex)
+
+    @pytest.mark.parametrize("n_vertex", [1.5, 2.0, "2", True])
+    def test_vertex_count_must_be_an_integer(self, n_vertex):
+        with pytest.raises(ValueError, match="n_vertex_vars must be an integer"):
+            marginalize_vertices(np.ones(8), n_vertex)
