@@ -19,10 +19,20 @@ from typing import Iterable
 import numpy as np
 
 
-def require_integer(name: str, value) -> None:
-    """Raise ValueError naming the field unless value has __index__ and is not a bool."""
+# Largest count the package accepts: numpy's multinomial takes its count as a C long.
+MAX_COUNT = 2**63 - 1
+
+
+def require_integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """value as an int; ValueError naming the field unless it is a non-bool integer in [low, high]."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    n = operator.index(value)
+    if low is not None and n < low:
+        raise ValueError(f"{name} must be at least {low}, got {n}")
+    if high is not None and n > high:
+        raise ValueError(f"{name} must be at most {high}, got {n}")
+    return n
 
 
 class InfeasibleGraphError(ValueError):
@@ -40,11 +50,7 @@ class Graph:
     __slots__ = ("n_vertices", "edges", "_adjacency")
 
     def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]]):
-        require_integer("n_vertices", n_vertices)
-        n = operator.index(n_vertices)
-        if n < 0:
-            raise ValueError(f"n_vertices must be nonnegative, got {n}")
-        self.n_vertices = n
+        self.n_vertices = n = require_integer("n_vertices", n_vertices, 0)
 
         canonical: set[tuple[int, int]] = set()
         for u, v in edges:

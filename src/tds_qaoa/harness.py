@@ -27,7 +27,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .graphs import Graph, load_graph, require_integer, subset_table
+from .graphs import MAX_COUNT, Graph, load_graph, require_integer, subset_table
 # perfbench/tracer.py wraps these names where harness binds them.
 from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
 from .qaoa import expectation  # noqa: F401
@@ -77,12 +77,10 @@ class RunConfig:
     objective_shots: int | None = None
 
     def __post_init__(self):
-        for name in ("layers_q", "max_iterations", "shots", "objective_shots", "seed"):
-            value = getattr(self, name)
-            if value is not None:
-                require_integer(name, value)
-                if name != "seed" and value < 1:
-                    raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in ("layers_q", "max_iterations", "shots", "objective_shots"):
+            if getattr(self, name) is not None:
+                require_integer(name, getattr(self, name), 1, MAX_COUNT)
+        require_integer("seed", self.seed)  # any integer: derive_seed reduces it mod 2^63
         if not isinstance(self.exact_metrics, bool):
             raise ValueError(f"exact_metrics must be a bool, got {self.exact_metrics!r}")
         if self.penalty is not None and self.penalty_multiplier is not None:
@@ -378,10 +376,8 @@ def run_sweep(
     raises before any cell runs; a cell that fails while running gets its
     error in the row's error column and does not stop the sweep.
     """
-    for name, value in (("n_seeds", n_seeds), ("workers", workers)):
-        require_integer(name, value)
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    require_integer("n_seeds", n_seeds, 1)
+    require_integer("workers", workers, 1)
     for name, values in (
         ("layer_values", layer_values),
         ("multiplier_values", multiplier_values),
@@ -410,7 +406,8 @@ def run_sweep(
         # Imported here: the pool, and the logging it loads, serve pooled sweeps only.
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool forks all its workers at the first submit: no more than there are tasks.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             rows = list(pool.map(_run_sweep_cell, *zip(*tasks), chunksize=1))
     else:
         rows = [_run_sweep_cell(*t) for t in tasks]

@@ -45,12 +45,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integer("max_iterations", self.max_iterations)
+        require_integer("max_iterations", self.max_iterations, 1)
         require_integer("seed", self.seed)
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if self.function_tolerance <= 0:
-            raise ValueError(f"function_tolerance must be positive, got {self.function_tolerance}")
+        tolerance = self.function_tolerance
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"function_tolerance must be finite and positive, got {tolerance}")
         for lo, hi in self.bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
@@ -173,8 +172,7 @@ def minimize(
 
 def angle_bounds(q: int) -> tuple[tuple[float, float], ...]:
     """Box bounds for the flat angle vector: gammas in [0, 2pi], betas in [0, pi]."""
-    if q < 1:
-        raise ValueError(f"layer count must be positive, got {q}")
+    require_integer("q", q, 1)
     return tuple([(0.0, 2.0 * np.pi)] * q + [(0.0, np.pi)] * q)
 
 
@@ -195,8 +193,8 @@ def default_ramp_scales(layers_q: int, penalty: float) -> tuple[float, float]:
 
     Explicit scales always override these defaults; see _RAMP_DEFAULTS.
     """
-    if penalty <= 0:
-        raise ValueError(f"penalty must be positive, got {penalty}")
+    if not (math.isfinite(penalty) and penalty > 0):
+        raise ValueError(f"penalty must be finite and positive, got {penalty}")
     for limit, target, beta_scale in _RAMP_DEFAULTS:
         if layers_q <= limit:
             break
@@ -213,8 +211,7 @@ def initial_angles(q: int, gamma_scale: float, beta_scale: float) -> AngleSchedu
     gamma_k = (k - 1/2)/q * gamma_scale and beta_k = (1 - (k - 1/2)/q) *
     beta_scale for k = 1..q, clipped into the angle bounds.
     """
-    if q < 1:
-        raise ValueError(f"layer count must be positive, got {q}")
+    require_integer("q", q, 1)
     fractions = [(k - 0.5) / q for k in range(1, q + 1)]
     gammas = [min(max(f * gamma_scale, 0.0), 2.0 * np.pi) for f in fractions]
     betas = [min(max((1.0 - f) * beta_scale, 0.0), np.pi) for f in fractions]

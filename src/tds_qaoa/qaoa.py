@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import MAX_TABLE_BITS, require_integer, subset_sizes
+from .graphs import MAX_COUNT, MAX_TABLE_BITS, require_integer, subset_sizes
 from .qubo import EnergyTable
 
 # Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
@@ -88,11 +88,6 @@ class AngleSchedule:
             raise ValueError(f"parameter vector length {len(x)} is not even")
         q = len(x) // 2
         return cls(tuple(x[:q]), tuple(x[q:]))
-
-
-def _require_qubits(n: int) -> None:
-    if not 1 <= n <= MAX_TABLE_BITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_TABLE_BITS}], got {n}")
 
 
 def _require_same_size(table: EnergyTable, state: StateVector) -> None:
@@ -218,7 +213,7 @@ class Circuit:
 
     def __init__(self, table: EnergyTable):
         n = table.n_vars
-        _require_qubits(n)
+        require_integer("qubit count", n, 1, MAX_TABLE_BITS)
         if table.energies.shape != (1 << n,):
             raise ValueError(f"table of {n} variables has energies of shape {table.energies.shape}")
         self.table = table
@@ -323,9 +318,7 @@ def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     probs is normalized here. seed is an int or a numpy Generator, which is
     drawn from as is; a fixed int seed gives fixed counts.
     """
-    require_integer("shots", shots)
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    require_integer("shots", shots, 1, MAX_COUNT)
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
@@ -341,7 +334,5 @@ def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
     n_qubits = size.bit_length() - 1
     if 1 << n_qubits != size:
         raise ValueError(f"dense distribution length {size} is not a power of two")
-    require_integer("n_vertex_vars", n_vertex_vars)
-    if not 0 <= n_vertex_vars <= n_qubits:
-        raise ValueError(f"n_vertex_vars={n_vertex_vars} out of range for {n_qubits} qubits")
+    require_integer("n_vertex_vars", n_vertex_vars, 0, n_qubits)
     return np.asarray(dist).reshape(1 << n_vertex_vars, -1).sum(axis=1)

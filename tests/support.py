@@ -29,7 +29,7 @@ from tds_qaoa import (
     index_to_bits,
     is_total_dominating_set,
 )
-from tds_qaoa.graphs import MAX_TABLE_BITS
+from tds_qaoa.graphs import MAX_TABLE_BITS, require_integer
 from tds_qaoa.optimize import (
     _ALPHA,
     _GAMMA,
@@ -135,7 +135,7 @@ def dense_evolve_oracle(energies: np.ndarray, gammas, betas) -> np.ndarray:
 
 def uniform_state(n: int) -> StateVector:
     """Equal superposition of all 2^n basis states (Hadamard on every qubit)."""
-    qaoa._require_qubits(n)
+    require_integer("qubit count", n, 1, MAX_TABLE_BITS)
     return StateVector(n, np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128))
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from tds_qaoa import harness
+from tds_qaoa import cli, harness
 from tds_qaoa.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, cli_entry
 
 
@@ -174,6 +174,21 @@ class TestRun:
         assert code == EXIT_USAGE
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [("--shots", "shots"), ("--objective-shots", "objective_shots")])
+    def test_count_beyond_a_c_long_exits_before_any_work(
+        self, edge_graph, tmp_path, capsys, monkeypatch, flag, field
+    ):
+        def no_run_may_start(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_single", no_run_may_start)
+        out = tmp_path / "out"
+        argv = ["run", "--graph", edge_graph, "--q", "1", flag, "9223372036854775808", "--out", str(out)]
+        assert cli_entry(argv) == EXIT_USAGE
+        message = f"error: {field} must be at most 9223372036854775807, got 9223372036854775808"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrace:
     def test_stdout_csv(self, edge_graph, capsys):
@@ -239,9 +254,10 @@ class TestSweep:
         (["--workers", "-3"], "workers"),
         (["--q-list", "1", "1"], "layer_values"),
         (["--P-mult-list", "1.5", "1e303"], "punishment coefficient 2e+303 is too large"),
+        (["--shots", "9223372036854775808"], "shots must be at most 9223372036854775807"),
     ], ids=[
         "q-0", "maxiter-0", "p-mult-0", "p-mult-nan", "seeds-0", "workers-0", "workers-neg", "q-repeated",
-        "p-mult-too-large",
+        "p-mult-too-large", "shots-beyond-c-long",
     ])
     def test_bad_grid_value_exits_before_the_grid(self, edge_graph, capsys, monkeypatch, flags, field):
         def no_cell_may_run(*args, **kwargs):

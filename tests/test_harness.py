@@ -242,6 +242,13 @@ class TestRunSingle:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             RunConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["shots", "objective_shots"])
+    def test_shot_counts_must_fit_a_c_long(self, name):
+        # numpy's multinomial takes the count as a C long: 2^63 - 1 is the largest it takes.
+        with pytest.raises(ValueError, match=f"{name} must be at most {2**63 - 1}, got {2**63}"):
+            RunConfig(**{name: 2**63})
+        assert getattr(RunConfig(**{name: 2**63 - 1}), name) == 2**63 - 1
+
     def test_exact_metrics_must_be_a_bool(self):
         with pytest.raises(ValueError, match="exact_metrics must be a bool, got 'no'"):
             RunConfig(exact_metrics="no")
@@ -526,6 +533,34 @@ class TestRunSweep:
         serial = run_sweep(base, workers=1, **kwargs)
         parallel = run_sweep(base, workers=2, **kwargs)
         assert self._strip_timing(serial.rows) == self._strip_timing(parallel.rows)
+
+    def test_pool_starts_no_more_workers_than_tasks(self, edge_graph_path, monkeypatch):
+        import concurrent.futures
+
+        pool_sizes = []
+
+        class InProcessPool:
+            """Records its size and maps in this process: it starts no process."""
+
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        base = RunConfig(graph_source=edge_graph_path, seed=1, shots=500)
+        kwargs = dict(layer_values=(1, 2), multiplier_values=(1.5,), maxiter_values=(5,))
+        serial = run_sweep(base, workers=1, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_sweep(base, workers=4096, **kwargs)
+        assert pool_sizes == [2]
+        assert self._strip_timing(pooled.rows) == self._strip_timing(serial.rows)
 
     def test_cell_seed_derivation_stable(self):
         a = derive_seed(0, 5, 9_000_000, 500, 0)

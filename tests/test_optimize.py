@@ -51,6 +51,11 @@ class TestInitialAngles:
         with pytest.raises(ValueError):
             default_ramp_scales(5, 0.0)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+    def test_default_scales_reject_non_finite_penalty(self, penalty):
+        with pytest.raises(ValueError, match=f"penalty must be finite and positive, got {penalty}"):
+            default_ramp_scales(5, penalty)
+
 
 class TestAngleBounds:
     def test_layout(self):
@@ -58,6 +63,18 @@ class TestAngleBounds:
         assert len(bounds) == 6
         assert bounds[0] == (0.0, 2 * np.pi)
         assert bounds[3] == (0.0, np.pi)
+
+    @pytest.mark.parametrize("q, message", [
+        (1.5, "q must be an integer, got 1.5"),
+        (2.0, "q must be an integer, got 2.0"),
+        (True, "q must be an integer, got True"),
+        (0, "q must be at least 1, got 0"),
+    ])
+    def test_layer_count_must_be_a_positive_integer(self, q, message):
+        with pytest.raises(ValueError, match=message):
+            angle_bounds(q)
+        with pytest.raises(ValueError, match=message):
+            initial_angles(q, 1.0, 1.0)
 
 
 class TestMinimize:
@@ -145,6 +162,12 @@ class TestMinimize:
         fields = {"max_iterations": 5, "bounds": ((0.0, 1.0),), name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             OptimizerConfig(**fields)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_function_tolerance_must_be_finite(self, tolerance):
+        message = f"function_tolerance must be finite and positive, got {tolerance}"
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(5, ((0.0, 1.0),), function_tolerance=tolerance)
 
     @pytest.mark.parametrize("bound", [
         (float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 1.0), (0.0, float("inf")),

@@ -362,6 +362,13 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(uniform_state(2).probabilities(), 0, seed=0)
 
+    def test_shots_beyond_a_c_long_rejected_before_any_draw(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"shots must be at most {2**63 - 1}, got {2**63}"):
+            sample(uniform_state(2).probabilities(), 2**63, rng)
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("shots", [2.5, 3.0, "3", True])
     def test_shots_must_be_an_integer(self, shots):
         with pytest.raises(ValueError, match="shots must be an integer"):
