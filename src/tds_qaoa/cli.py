@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 
 from .graphs import (
@@ -42,8 +43,28 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Flags match only as spelled in full; a usage error raises instead of exiting."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
+
+
+def _out_file(path: str) -> str:
+    """--out of compile and trace: a file in a directory that exists."""
+    if path and (pathlib.Path(path).is_dir() or not pathlib.Path(path).parent.is_dir()):
+        raise argparse.ArgumentTypeError(f"{path} is not a file in an existing directory")
+    return path
+
+
+def _out_dir(path: str) -> str:
+    """--out of run and sweep: a directory, made if missing; no file may stand in its way."""
+    target = pathlib.Path(path)
+    if blocker := next((p for p in (target, *target.parents) if p.exists() and not p.is_dir()), None):
+        raise argparse.ArgumentTypeError(f"{blocker} exists and is not a directory")
+    return path
 
 
 def _add_graph_flag(parser):
@@ -100,21 +121,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="compile the TDP QUBO and print it as JSON")
     _add_graph_flag(p_compile)
     _add_penalty_flags(p_compile)
-    p_compile.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    p_compile.add_argument("--out", type=_out_file, default=None, help="write JSON here instead of stdout")
 
-    p_bound = sub.add_parser("bound", help="print qubit-count quantities")
-    _add_graph_flag(p_bound)
-
-    p_oracle = sub.add_parser("oracle", help="print exact minimum TDS/DS via brute force")
-    _add_graph_flag(p_oracle)
+    _add_graph_flag(sub.add_parser("bound", help="print qubit-count quantities"))
+    _add_graph_flag(sub.add_parser("oracle", help="print exact minimum TDS/DS via brute force"))
 
     p_run = sub.add_parser("run", help="run one QAOA cell and write result files")
     _add_run_flags(p_run)
-    p_run.add_argument("--out", default=None, help="output directory for result files")
+    p_run.add_argument("--out", type=_out_dir, default=None, help="output directory for result files")
 
     p_trace = sub.add_parser("trace", help="run one QAOA cell and emit the cost trace CSV")
     _add_run_flags(p_trace)
-    p_trace.add_argument("--out", default=None, help="write trace CSV here instead of stdout")
+    p_trace.add_argument("--out", type=_out_file, default=None, help="write trace CSV here instead of stdout")
 
     p_sweep = sub.add_parser("sweep", help="run the (q, P, maxiter) parameter grid")
     _add_graph_flag(p_sweep)
@@ -128,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0, help="sweep-level base seed")
     _add_shots_and_ramp_flags(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
-    p_sweep.add_argument("--out", default=None, help="output directory for sweep files")
+    p_sweep.add_argument("--out", type=_out_dir, default=None, help="output directory for sweep files")
 
     return parser
 
@@ -145,16 +163,19 @@ def _run_config(args) -> RunConfig:
     return RunConfig(**{field: flags[dest] for dest, field in fields.items() if dest in flags})
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write text to the --out file, or to stdout when there is none."""
+    if path:
+        pathlib.Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_compile(args) -> int:
     config = _run_config(args)
     g = load_graph(config.graph_source)
     model = compile_tdp_qubo(g, config.resolve_penalty(g))
-    text = json.dumps(model.to_dict(), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(model.to_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -174,14 +195,11 @@ def _cmd_bound(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = load_graph(args.graph)
-    tds_size, tds_sets = minimum_tds_bruteforce(g)
-    ds_size, ds_sets = minimum_ds_bruteforce(g)
-    print(f"minimum TDS size: {tds_size}")
-    for s in sorted(tds_sets, key=sorted):
-        print(f"  TDS {sorted(s)}")
-    print(f"minimum DS size: {ds_size}")
-    for s in sorted(ds_sets, key=sorted):
-        print(f"  DS {sorted(s)}")
+    for name, solve in (("TDS", minimum_tds_bruteforce), ("DS", minimum_ds_bruteforce)):
+        size, sets = solve(g)
+        print(f"minimum {name} size: {size}")
+        for s in sorted(sets, key=sorted):
+            print(f"  {name} {sorted(s)}")
     return EXIT_OK
 
 
@@ -191,18 +209,12 @@ def _cmd_run(args) -> int:
         write_run_outputs(result, args.out)
         print(f"wrote result.json, distribution.csv, trace.csv to {args.out}")
     else:
-        print(json.dumps(result.to_dict(), indent=2))
+        _emit(json.dumps(result.to_dict(), indent=2) + "\n", None)
     return EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    result = run_single(_run_config(args))
-    text = result.trace.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(run_single(_run_config(args)).trace.to_csv(), args.out)
     return EXIT_OK
 
 

@@ -24,6 +24,15 @@ def isolated_graph(tmp_path):
     return str(path)
 
 
+def forbid_work(monkeypatch):
+    """Make every entry into a run, a sweep or a compilation fail the test."""
+    def no_work_may_start(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("run_single", "run_sweep", "compile_tdp_qubo"):
+        monkeypatch.setattr(cli, name, no_work_may_start)
+
+
 class TestOracle:
     def test_paper6_instance(self, capsys):
         assert cli_entry(["oracle", "--graph", "builtin:paper6"]) == EXIT_OK
@@ -201,6 +210,15 @@ class TestTrace:
         assert lines[0] == "evaluation_index,value"
         assert len(lines) == 13
 
+    def test_out_file_holds_the_stdout_bytes(self, edge_graph, tmp_path, capsys):
+        argv = ["trace", "--graph", edge_graph, "--q", "1", "--P", "3.0", "--maxiter", "12"]
+        assert cli_entry(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "trace.csv"
+        assert cli_entry([*argv, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+
 
 class TestSweep:
     def test_small_grid(self, tmp_path, edge_graph, capsys):
@@ -315,6 +333,79 @@ class TestEmptyGraph:
         assert cli_entry(["oracle", "--graph", empty_graph]) == EXIT_OK
         out = capsys.readouterr().out
         assert "minimum TDS size: 0" in out and "minimum DS size: 0" in out
+
+
+class TestOutPath:
+    """`--out` is a directory for run and sweep, a file for compile and trace; a bad one exits 1 first."""
+
+    @pytest.mark.parametrize("command, out, message", [
+        ("run", "file", "file exists and is not a directory"),
+        ("run", "file/sub", "file exists and is not a directory"),
+        ("sweep", "file", "file exists and is not a directory"),
+        ("sweep", "file/sub", "file exists and is not a directory"),
+        ("compile", "dir", "dir is not a file in an existing directory"),
+        ("compile", "missing/model.json", "model.json is not a file in an existing directory"),
+        ("trace", "dir", "dir is not a file in an existing directory"),
+        ("trace", "missing/trace.csv", "trace.csv is not a file in an existing directory"),
+    ], ids=[
+        "run-file", "run-under-file", "sweep-file", "sweep-under-file",
+        "compile-dir", "compile-missing-dir", "trace-dir", "trace-missing-dir",
+    ])
+    def test_bad_out_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command, out, message):
+        forbid_work(monkeypatch)
+        (tmp_path / "file").write_text("keep\n")
+        (tmp_path / "dir").mkdir()
+        assert cli_entry([command, "--out", str(tmp_path / out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "error: argument --out: " in captured.err and message in captured.err
+        assert "cells:" not in captured.out
+        assert (tmp_path / "file").read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+
+    def test_run_writes_into_an_existing_directory(self, edge_graph, tmp_path, capsys):
+        argv = ["run", "--graph", edge_graph, "--q", "1", "--maxiter", "5", "--out", str(tmp_path)]
+        assert cli_entry(argv) == EXIT_OK
+        assert (tmp_path / "result.json").exists()
+
+
+class TestFullSpelling:
+    """A flag matches only as spelled in full; a prefix of a longer flag is unrecognized."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--P", "9"],
+        ["sweep", "--q", "5"],
+        ["sweep", "--maxiter", "500"],
+        ["sweep", "--P", "9", "--q", "5", "--maxiter", "500"],
+        ["run", "--max", "7"],
+        ["run", "--gamma", "0.5"],
+        ["compile", "--P-m", "1.5"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+    def test_prefix_is_a_usage_error(self, capsys, monkeypatch, argv):
+        forbid_work(monkeypatch)
+        assert cli_entry(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in captured.err
+        assert "cells:" not in captured.out
+
+    def test_documented_command_lines_parse_as_before(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        parse = lambda argv: vars(cli.build_parser().parse_args(argv))  # noqa: E731
+        # The run that perfbench/worker.py times, with the cycle14-cli inputs filled in.
+        run = ["run", "--graph", "cycle.txt", "--q", "2", "--P", "21.0", "--maxiter", "10",
+               "--seed", "5", "--out", "cli-out"]
+        assert parse(run) == {
+            "command": "run", "graph": "cycle.txt", "P": 21.0, "p_mult": None, "q": 2, "maxiter": 10,
+            "shots": 100000, "gamma_scale": None, "beta_scale": None, "seed": 5,
+            "exact_metrics": True, "objective_shots": None, "out": "cli-out",
+        }
+        # README's sweep example.
+        sweep = ["sweep", "--graph", "builtin:paper6", "--seeds", "1", "--workers", "4", "--out", "sweep/"]
+        assert parse(sweep) == {
+            "command": "sweep", "graph": "builtin:paper6", "q_list": [2, 5, 10, 20],
+            "p_mult_list": [0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5], "maxiter_list": [50, 100, 200, 500],
+            "seeds": 1, "seed": 0, "shots": 100000, "gamma_scale": None, "beta_scale": None,
+            "workers": 4, "out": "sweep/",
+        }
 
 
 class TestUsageErrors:
