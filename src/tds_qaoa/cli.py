@@ -39,17 +39,24 @@ EXIT_INTERNAL = 3
 
 
 class _UsageError(Exception):
-    pass
+    """args: the message, and the usage line of the parser that raised it."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flags match only as spelled in full; a usage error raises instead of exiting."""
+    """Flags match only as spelled in full; a usage error raises, with the failing parser's usage."""
 
     def __init__(self, *args, allow_abbrev=False, **kwargs):
         super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # Leftovers fail here, so a subcommand's error carries its usage, not the top level's.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self.format_usage())
 
 
 def _out_file(path: str) -> str:
@@ -256,8 +263,9 @@ def cli_entry(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        message, usage = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        sys.stderr.write(usage)
         return EXIT_USAGE
     except SystemExit:
         # argparse exits directly for --help; treat as success

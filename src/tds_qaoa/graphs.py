@@ -12,6 +12,8 @@ significant bit, the convention of the energy table and of bit strings.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable
@@ -33,6 +35,15 @@ def require_integer(name: str, value, low: int | None = None, high: int | None =
     if high is not None and n > high:
         raise ValueError(f"{name} must be at most {high}, got {n}")
     return n
+
+
+def require_real(name: str, value, positive: bool = False) -> float:
+    """value as a float; ValueError naming the field unless it is a finite non-bool real (> 0 if positive)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {value}")
+    return float(value)
 
 
 class InfeasibleGraphError(ValueError):

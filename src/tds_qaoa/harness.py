@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import pathlib
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -27,7 +26,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .graphs import MAX_COUNT, Graph, load_graph, require_integer, subset_table
+from .graphs import MAX_COUNT, Graph, load_graph, require_integer, require_real, subset_table
 # perfbench/tracer.py wraps these names where harness binds them.
 from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
 from .qaoa import expectation  # noqa: F401
@@ -85,14 +84,9 @@ class RunConfig:
             raise ValueError(f"exact_metrics must be a bool, got {self.exact_metrics!r}")
         if self.penalty is not None and self.penalty_multiplier is not None:
             raise ValueError("give either penalty or penalty_multiplier, not both")
-        for name in ("penalty", "penalty_multiplier", "function_tolerance"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for name in ("gamma_scale", "beta_scale"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("penalty", "penalty_multiplier", "function_tolerance", "gamma_scale", "beta_scale"):
+            if getattr(self, name) is not None:  # a ramp scale may be zero or negative
+                require_real(name, getattr(self, name), positive=not name.endswith("_scale"))
 
     def resolve_penalty(self, g: Graph) -> float:
         if self.penalty is not None:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import require_integer
+from .graphs import require_integer, require_real
 from .qaoa import AngleSchedule
 
 TERMINATION_BUDGET = "budget_exhausted"
@@ -47,9 +47,7 @@ class OptimizerConfig:
     def __post_init__(self):
         require_integer("max_iterations", self.max_iterations, 1)
         require_integer("seed", self.seed)
-        tolerance = self.function_tolerance
-        if not (math.isfinite(tolerance) and tolerance > 0):
-            raise ValueError(f"function_tolerance must be finite and positive, got {tolerance}")
+        require_real("function_tolerance", self.function_tolerance, positive=True)
         for lo, hi in self.bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
@@ -92,8 +90,8 @@ def minimize(
     hi = np.array([b[1] for b in config.bounds], dtype=np.float64)
     if x0.shape != lo.shape:
         raise ValueError(f"x0 has {x0.size} coordinates, bounds have {lo.size}")
-    if np.any(x0 < lo) or np.any(x0 > hi):
-        raise ValueError("x0 lies outside the bounds")
+    if not (np.all(lo <= x0) and np.all(x0 <= hi)):  # a NaN coordinate fails both
+        raise ValueError(f"x0 lies outside the bounds, got {x0.tolist()}")
 
     evaluations: list[tuple[np.ndarray, float]] = []
 
@@ -193,8 +191,7 @@ def default_ramp_scales(layers_q: int, penalty: float) -> tuple[float, float]:
 
     Explicit scales always override these defaults; see _RAMP_DEFAULTS.
     """
-    if not (math.isfinite(penalty) and penalty > 0):
-        raise ValueError(f"penalty must be finite and positive, got {penalty}")
+    require_real("penalty", penalty, positive=True)
     for limit, target, beta_scale in _RAMP_DEFAULTS:
         if layers_q <= limit:
             break
@@ -212,6 +209,8 @@ def initial_angles(q: int, gamma_scale: float, beta_scale: float) -> AngleSchedu
     beta_scale for k = 1..q, clipped into the angle bounds.
     """
     require_integer("q", q, 1)
+    require_real("gamma_scale", gamma_scale)
+    require_real("beta_scale", beta_scale)
     fractions = [(k - 0.5) / q for k in range(1, q + 1)]
     gammas = [min(max(f * gamma_scale, 0.0), 2.0 * np.pi) for f in fractions]
     betas = [min(max((1.0 - f) * beta_scale, 0.0), np.pi) for f in fractions]

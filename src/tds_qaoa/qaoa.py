@@ -15,7 +15,7 @@ every cost layer, and the Phi* Phi between two layers cancels:
 
     U(b_q) C(g_q) ... U(b_1) C(g_1) |+> = Phi R(b_q) C(g_q) ... R(b_1) C(g_1) Phi* |+>,
 
-where Phi* |+> has amplitudes i^popcount(x) / 2^(n/2). `evolve` runs in
+where Phi* |+> has amplitudes i^popcount(x) / 2^(n/2). `Circuit.state` runs in
 that frame: each mixer layer is the real rotation R^{⊗n}, which turns the
 real and the imaginary parts alike and so acts on the float64 view of the
 amplitudes, and Phi is applied once, at the end. R^{⊗n} is one matmul per
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import MAX_COUNT, MAX_TABLE_BITS, require_integer, subset_sizes
+from .graphs import MAX_COUNT, MAX_TABLE_BITS, require_integer, require_real, subset_sizes
 from .qubo import EnergyTable
 
 # Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
@@ -75,8 +75,8 @@ class AngleSchedule:
             )
         if len(self.gammas) < 1:
             raise ValueError("schedule must have at least one layer")
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        object.__setattr__(self, "gammas", tuple(require_real("gammas", g) for g in self.gammas))
+        object.__setattr__(self, "betas", tuple(require_real("betas", b) for b in self.betas))
 
     def as_vector(self) -> np.ndarray:
         """Flat parameter vector [gammas..., betas...] for the optimizer."""
@@ -185,27 +185,16 @@ def _group_views(buffer: np.ndarray) -> list[np.ndarray]:
 def apply_cost_layer(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
     """Diagonal phase amplitude[k] *= exp(-i * gamma * energies[k]): a circuit layer at beta = 0."""
     _require_same_size(table, state)
-    circuit = Circuit(table)
-    circuit._buffers[0][:] = state.amplitudes
-    return StateVector(state.n_qubits, circuit._layers([gamma, 0.0]))
+    return StateVector(state.n_qubits, Circuit(table).state([gamma, 0.0], state.amplitudes))
 
 
 def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
-    """X rotation exp(-i * beta * X) applied to every qubit independently.
+    """X rotation exp(-i * beta * X) applied to every qubit independently: a layer at gamma = 0.
 
-    Applied as Phi R(beta)^{⊗n} Phi* (see the module docstring), with R(beta)^{⊗n} a
-    circuit layer at gamma = 0. Phi's entries are units and R(0) is the identity, so
-    beta = 0 returns the amplitudes exactly.
+    R(0) is the identity and Phi's entries are units, so beta = 0 returns the amplitudes exactly.
     """
-    circuit = Circuit(EnergyTable(state.n_qubits, np.zeros(1 << state.n_qubits)))
-    psi, frame = circuit._buffers
-    _fill_frame(frame, 1, 1.0)
-    np.multiply(state.amplitudes, frame, out=psi)
-    psi = circuit._layers([0.0, beta])
-    frame = circuit._other(psi)
-    _fill_frame(frame, 3, 1.0)
-    psi *= frame
-    return StateVector(state.n_qubits, psi)
+    table = EnergyTable(state.n_qubits, np.zeros(1 << state.n_qubits))
+    return StateVector(state.n_qubits, Circuit(table).state([0.0, beta], state.amplitudes))
 
 
 class Circuit:
@@ -231,6 +220,21 @@ class Circuit:
         """The state at angles x = [gammas..., betas...] in the rotation frame, in a buffer."""
         _fill_frame(self._buffers[0], 1, 2.0 ** (-self.table.n_vars / 2.0))
         return self._layers(x)
+
+    def state(self, x, start=None) -> np.ndarray:
+        """The state U(x) start, or U(x)|+> with no start, in a buffer; start enters as start * Phi*."""
+        if start is None:
+            psi = self.run(x)
+        else:
+            psi, frame = self._buffers
+            if np.shape(start) != psi.shape:
+                raise ValueError(f"start state of shape {np.shape(start)} is not {psi.shape}")
+            _fill_frame(frame, 1, 1.0)
+            np.multiply(start, frame, out=psi)
+            psi = self._layers(x)
+        frame = self._other(psi)
+        _fill_frame(frame, 3, 1.0)
+        return np.multiply(psi, frame, out=psi)
 
     def _other(self, psi: np.ndarray) -> np.ndarray:
         """The buffer that does not hold psi."""
@@ -276,7 +280,7 @@ class Circuit:
     def probabilities(self, x) -> np.ndarray:
         """|amplitude|^2 at angles x, in the buffer that the state is not in.
 
-        evolve's final Phi is skipped: its entries are units, so |Phi z| = |z| exactly.
+        The final Phi of state is skipped: its entries are units, so |Phi z| = |z| exactly.
         """
         psi = self.run(x)
         probs = self._other(psi).view(np.float64)[: psi.size]
@@ -289,17 +293,8 @@ class Circuit:
 
 
 def evolve(table: EnergyTable, schedule: AngleSchedule) -> StateVector:
-    """Run the full circuit: uniform state, then (cost, mixer) per layer.
-
-    Runs in the rotation frame of the module docstring, in a Circuit's two
-    buffers, and returns the one the state ends in; the other is freed.
-    """
-    circuit = Circuit(table)
-    psi = circuit.run(schedule.as_vector())
-    phases = circuit._other(psi)
-    _fill_frame(phases, 3, 1.0)
-    psi *= phases
-    return StateVector(table.n_vars, psi)
+    """Run the full circuit: uniform state, then (cost, mixer) per layer (see Circuit.state)."""
+    return StateVector(table.n_vars, Circuit(table).state(schedule.as_vector()))
 
 
 def expectation(state: StateVector, table: EnergyTable) -> float:

@@ -34,7 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import MAX_TABLE_BITS, Graph, InfeasibleGraphError, degree_partition, subset_sizes
+from .graphs import (
+    MAX_TABLE_BITS, Graph, InfeasibleGraphError, degree_partition, require_real, subset_sizes,
+)
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,7 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
     """
     if g.n_vertices == 0:
         raise ValueError("graph has no vertices: a QUBO needs at least one variable")
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError(f"punishment coefficient must be finite and positive, got {p}")
+    require_real("punishment coefficient", p, positive=True)
 
     degrees = g.degrees()
     if any(deg == 0 for deg in degrees):
@@ -284,16 +285,16 @@ def build_energy_table(m: QuboModel) -> EnergyTable:
 def qubit_upper_bound(g: Graph) -> float:
     """Closed-form qubit upper bound 2|V| + |V| log2(2|E|/|V| - 1).
 
-    Valid for graphs with minimum degree >= 2; the logarithm argument is
-    nonpositive when 2|E| <= |V|, which is rejected.
+    Defined for graphs with minimum degree >= 2 (so 2|E|/|V| - 1 >= 1); any
+    other graph is rejected, since a degree-1 vertex can push the formula
+    below the exact qubit count.
     """
     n, m = g.n_vertices, g.n_edges
     if n == 0:
         raise ValueError("bound undefined for the empty graph")
-    ratio = 2.0 * m / n - 1.0
-    if ratio <= 0.0:
-        raise ValueError(f"bound undefined: 2|E|/|V| - 1 = {ratio} is nonpositive")
-    return 2.0 * n + n * math.log2(ratio)
+    if (low := min(g.degrees())) < 2:
+        raise ValueError(f"bound undefined: minimum degree {low} is below 2")
+    return 2.0 * n + n * math.log2(2.0 * m / n - 1.0)
 
 
 def qubit_counts(g: Graph) -> tuple[int, int, int]:

@@ -60,6 +60,18 @@ class TestBound:
         assert cli_entry(["bound", "--graph", edge_graph]) == EXIT_OK
         assert "upper_bound=undefined" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, q_tdp", [
+        ("3 2\n0 1\n1 2\n", 3),  # P_3, where the formula gives 1.2451
+        ("5 4\n0 1\n0 2\n0 3\n0 4\n", 7),  # the star K_{1,4}, where it gives 6.3152
+    ], ids=["path3", "star4"])
+    def test_degree_one_vertex_bound_undefined(self, tmp_path, capsys, text, q_tdp):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert cli_entry(["bound", "--graph", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"q_tdp={q_tdp}\n" in out
+        assert "upper_bound=undefined (bound undefined: minimum degree 1 is below 2)\n" in out
+
     def test_vertex_cap_exits_usage(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text("65537 0\n")
@@ -427,3 +439,35 @@ class TestUsageErrors:
 
     def test_help_exits_ok(self, capsys):
         assert cli_entry(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("argv, command", [
+        (["sweep", "--P", "9"], "sweep"),
+        (["run", "--q", "1", "--maxiter", "3", "--out", "{file}"], "run"),
+        (["run", "--q", "x"], "run"),
+        (["compile", "--P", "3", "--P-mult", "1.5"], "compile"),
+        (["bound", "--bogus"], "bound"),
+    ], ids=["sweep-unrecognized", "run-out-file", "run-bad-int", "compile-exclusive", "bound-unknown"])
+    def test_subcommand_error_prints_the_subcommand_usage(self, tmp_path, capsys, monkeypatch, argv, command):
+        forbid_work(monkeypatch)
+        (tmp_path / "result.json").write_text("{}")
+        argv = [a.format(file=tmp_path / "result.json") for a in argv]
+        assert cli_entry(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"\nusage: tds-qaoa {command} [-h]" in err
+        assert "usage: tds-qaoa [-h]" not in err
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], [], ["--bogus", "run"]])
+    def test_without_a_valid_subcommand_the_top_level_usage_stays(self, capsys, argv):
+        assert cli_entry(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith("\nusage: tds-qaoa [-h] {compile,bound,oracle,run,trace,sweep} ...\n")
+
+    @pytest.mark.parametrize("command", ["compile", "bound", "oracle", "run", "trace", "sweep"])
+    def test_subcommand_help_prints_its_own_usage(self, capsys, command):
+        assert cli_entry([command, "--help"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: tds-qaoa {command} [-h]")
+        assert "\noptions:\n  -h, --help" in captured.out
+        assert captured.err == ""

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -248,6 +249,25 @@ class TestRunSingle:
         with pytest.raises(ValueError, match=f"{name} must be at most {2**63 - 1}, got {2**63}"):
             RunConfig(**{name: 2**63})
         assert getattr(RunConfig(**{name: 2**63 - 1}), name) == 2**63 - 1
+
+    @pytest.mark.parametrize("name", ["penalty", "penalty_multiplier", "function_tolerance",
+                                      "gamma_scale", "beta_scale"])
+    @pytest.mark.parametrize("value", [True, np.True_, "9", 1j])
+    def test_real_fields_must_be_reals(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a real number, got {value!r}")):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["penalty", "penalty_multiplier", "function_tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_positive_fields_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["gamma_scale", "beta_scale"])
+    def test_ramp_scales_must_be_finite(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got nan"):
+            RunConfig(**{name: float("nan")})
+        assert getattr(RunConfig(**{name: -0.5}), name) == -0.5
 
     def test_exact_metrics_must_be_a_bool(self):
         with pytest.raises(ValueError, match="exact_metrics must be a bool, got 'no'"):

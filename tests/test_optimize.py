@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,10 @@ from support import reference_minimize
 
 def quadratic_1d(x):
     return float((x[0] - 1.0) ** 2)
+
+
+def _forbidden_objective(x):
+    raise AssertionError(f"evaluated {x}")
 
 
 class TestInitialAngles:
@@ -50,6 +56,28 @@ class TestInitialAngles:
     def test_default_scales_reject_bad_penalty(self):
         with pytest.raises(ValueError):
             default_ramp_scales(5, 0.0)
+
+    @pytest.mark.parametrize("q, beta_scale", [(14, 1.9), (15, 1.6), (40, 1.6)])
+    def test_default_scales_past_the_calibrated_table(self, q, beta_scale):
+        """Past 14 layers the deep defaults hold: target 2.1, snapped to 2 pi k / P."""
+        gamma_scale, beta = default_ramp_scales(q, 9.0)
+        assert beta == beta_scale
+        if q > 14:
+            assert gamma_scale == 2.0 * np.pi * round(9.0 * 2.1 / (2.0 * np.pi)) / 9.0
+
+    @pytest.mark.parametrize("penalty", [True, np.True_, "9"])
+    def test_default_scales_reject_a_penalty_that_is_no_real(self, penalty):
+        with pytest.raises(ValueError, match=f"penalty must be a real number, got {penalty!r}"):
+            default_ramp_scales(2, penalty)
+
+    @pytest.mark.parametrize("field, scales", [
+        ("gamma_scale", (float("nan"), 1.0)),
+        ("beta_scale", (1.0, float("inf"))),
+        ("gamma_scale", (True, 1.0)),
+    ])
+    def test_ramp_scales_must_be_finite_reals(self, field, scales):
+        with pytest.raises(ValueError, match=field):
+            initial_angles(2, *scales)
 
     @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
     def test_default_scales_reject_non_finite_penalty(self, penalty):
@@ -107,6 +135,26 @@ class TestMinimize:
         with pytest.raises(ValueError, match="outside"):
             minimize(quadratic_1d, [2.0], config)
 
+    def test_nan_x0_rejected_before_any_evaluation(self):
+        config = OptimizerConfig(max_iterations=10, bounds=((0.0, 1.0),) * 2)
+        with pytest.raises(ValueError, match=re.escape("x0 lies outside the bounds, got [nan, 0.5]")):
+            minimize(_forbidden_objective, [float("nan"), 0.5], config)
+
+    def test_x0_and_bounds_of_different_lengths_rejected(self):
+        config = OptimizerConfig(max_iterations=10, bounds=((0.0, 1.0),) * 2)
+        with pytest.raises(ValueError, match="x0 has 3 coordinates, bounds have 2"):
+            minimize(_forbidden_objective, [0.5] * 3, config)
+
+    @pytest.mark.parametrize("x0, direction", [(0.0, 1.0), (1.0, -1.0)])
+    def test_initial_step_goes_the_one_way_that_fits(self, x0, direction):
+        """At a bound only one direction fits inside, so the first step takes it: no clipping."""
+        for seed in range(4):
+            config = OptimizerConfig(max_iterations=2, bounds=((0.0, 1.0),), seed=seed)
+            trace = minimize(quadratic_1d, [x0], config)
+            step = trace.evaluations[1][0][0] - x0
+            assert np.sign(step) == direction and 0.005 < abs(step) < 0.035
+            _assert_same_trace(trace, reference_minimize(quadratic_1d, [x0], config))
+
     def test_every_evaluation_in_bounds(self):
         bounds = ((0.0, 2 * np.pi),) * 2 + ((0.0, np.pi),) * 2
         config = OptimizerConfig(max_iterations=150, bounds=bounds, seed=5)
@@ -162,6 +210,12 @@ class TestMinimize:
         fields = {"max_iterations": 5, "bounds": ((0.0, 1.0),), name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             OptimizerConfig(**fields)
+
+    @pytest.mark.parametrize("tolerance", [True, np.True_, "1e-8"])
+    def test_function_tolerance_must_be_a_real(self, tolerance):
+        message = f"function_tolerance must be a real number, got {tolerance!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerConfig(5, ((0.0, 1.0),), function_tolerance=tolerance)
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
     def test_function_tolerance_must_be_finite(self, tolerance):

@@ -22,7 +22,7 @@ from tds_qaoa import (
     parse_graph,
     qubit_counts,
 )
-from tds_qaoa.graphs import subset_sizes
+from tds_qaoa.graphs import subset_sizes, subset_table
 from support import (
     all_assignments,
     cardinality_violation_energies,
@@ -152,6 +152,17 @@ def test_vertex_marginal_sums_to_one(g, schedule):
     table = build_energy_table(compile_tdp_qubo(g, 1.5 * g.n_vertices))
     marginal = marginalize_vertices(evolve(table, schedule).probabilities(), g.n_vertices)
     assert abs(marginal.sum() - 1.0) <= 1e-12
+
+
+@DETERMINISTIC
+@given(g=graphs_without_isolated_vertices(max_vertices=10))
+def test_valid_subsets_are_those_with_a_zero_violation_completion(g):
+    """At P = 1.5 |V|, d is a TDS exactly when some slack completion of d has energy |d|."""
+    assume(qubit_counts(g)[0] <= MAX_GRAPH_QUBITS)
+    table = build_energy_table(compile_tdp_qubo(g, 1.5 * g.n_vertices))
+    completions = table.energies.reshape(1 << g.n_vertices, -1)
+    sizes = subset_sizes(g.n_vertices)
+    assert np.array_equal(subset_table(g).valid, (completions == sizes[:, None]).any(axis=1))
 
 
 @pytest.mark.parametrize("p", [9.0, 4.8])

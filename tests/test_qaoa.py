@@ -75,6 +75,20 @@ class TestAngleSchedule:
         sch = AngleSchedule((0.1, 0.2), (0.3, 0.4))
         assert AngleSchedule.from_vector(sch.as_vector()) == sch
 
+    def test_odd_length_vector_rejected(self):
+        with pytest.raises(ValueError, match="parameter vector length 3 is not even"):
+            AngleSchedule.from_vector(np.array([0.1, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("gammas, betas, field", [
+        ((float("nan"),), (0.5,), "gammas must be finite, got nan"),
+        ((0.5,), (float("inf"),), "betas must be finite, got inf"),
+        ((True,), (0.5,), "gammas must be a real number, got True"),
+        ((0.5,), ("0.5",), "betas must be a real number, got '0.5'"),
+    ])
+    def test_angles_must_be_finite_reals(self, gammas, betas, field):
+        with pytest.raises(ValueError, match=field):
+            AngleSchedule(gammas, betas)
+
 
 class TestUniformState:
     def test_one_qubit(self):
@@ -240,6 +254,37 @@ class TestRotationFrame:
             assert psi.flags.owndata
             assert any(psi is buffer for buffer in circuit._buffers)
             assert not np.shares_memory(psi, circuit._other(psi))
+
+
+class TestCircuitState:
+    """Circuit.state: the true state U(x) start, the one path that applies Phi."""
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 11])
+    def test_uniform_start_is_the_default(self, n):
+        rng = np.random.default_rng(500 + n)
+        circuit = Circuit(random_table(rng, n))
+        x = rng.uniform(0.0, np.pi, size=4)
+        default = circuit.state(x).copy()
+        assert np.array_equal(circuit.state(x, uniform_state(n).amplitudes), default)
+        assert np.abs(default - reference_evolve(circuit.table.energies, x[:2], x[2:])).max() <= 1e-12
+
+    def test_start_is_left_alone_and_result_is_a_buffer(self):
+        rng = np.random.default_rng(7)
+        circuit = Circuit(random_table(rng, 6))
+        start = random_state(rng, 6).amplitudes
+        kept = start.copy()
+        psi = circuit.state([0.3, 1.1], start)
+        assert np.array_equal(start, kept)
+        assert any(psi is buffer for buffer in circuit._buffers)
+        phased = reference_cost_layer(StateVector(6, kept), circuit.table.energies, 0.3)
+        expected = reference_mixer_layer(phased, 1.1)
+        assert np.abs(psi - expected.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(4,), (16,), (8, 1), ()])
+    def test_start_of_another_size_rejected(self, shape):
+        circuit = Circuit(random_table(np.random.default_rng(0), 3))
+        with pytest.raises(ValueError, match="start state of shape"):
+            circuit.state([0.1, 0.2], np.zeros(shape, dtype=complex))
 
 
 class TestCircuit:

@@ -113,6 +113,11 @@ class TestCompile:
         with pytest.raises(ValueError):
             compile_tdp_qubo(builtin_instance(), 0.0)
 
+    @pytest.mark.parametrize("p", [True, np.True_, "9"])
+    def test_penalty_that_is_no_real_rejected(self, p):
+        with pytest.raises(ValueError, match=f"punishment coefficient must be a real number, got {p!r}"):
+            compile_tdp_qubo(builtin_instance(), p)
+
     @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
     def test_nonfinite_penalty_rejected(self, p):
         with pytest.raises(ValueError, match=f"got {p}$"):
@@ -211,6 +216,16 @@ class TestQubitCounts:
     def test_sparse_bound_undefined(self):
         with pytest.raises(ValueError):
             qubit_upper_bound(Graph(2, [(0, 1)]))
+
+    @pytest.mark.parametrize("g, q_tdp, degree", [
+        (Graph(3, [(0, 1), (1, 2)]), 3, 1),  # P_3: the formula gives 1.2451
+        (Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), 7, 1),  # K_{1,4}: the formula gives 6.3152
+        (Graph(4, [(0, 1), (1, 2), (2, 0)]), 4, 0),  # a triangle and an isolated vertex
+    ], ids=["path3", "star4", "isolated"])
+    def test_bound_undefined_below_minimum_degree_2(self, g, q_tdp, degree):
+        assert qubit_counts(g)[0] == q_tdp
+        with pytest.raises(ValueError, match=f"minimum degree {degree} is below 2"):
+            qubit_upper_bound(g)
 
     def test_theorem_bound_holds_on_random_graphs(self):
         rng = np.random.default_rng(5)
