@@ -39,7 +39,7 @@ from .optimize import (
     minimize,
 )
 from .qaoa import AngleSchedule, Circuit, evolve, marginalize_vertices, sample
-from .qubo import build_energy_table, compile_tdp_qubo, index_to_bits
+from .qubo import build_energy_table, compile_tdp_qubo, index_to_bits, require_table_size
 
 DEFAULT_SHOTS = 100_000
 DEFAULT_SWEEP_LAYERS = (2, 5, 10, 20)
@@ -366,8 +366,9 @@ def run_sweep(
     One row per (cell, replicate); one summary per cell aggregating over
     replicates. base.seed is the sweep-level seed from which every replicate
     seed is derived. A bad file, an infeasible graph, a bad or repeated grid
-    value, a penalty too large for exact energies, or a bad n_seeds or workers
-    raises before any cell runs; a cell that fails while running gets its
+    value, a penalty too large for exact energies, a model past the energy
+    table's MAX_TABLE_BITS variables, or a bad n_seeds or workers raises
+    before any cell runs; a cell that fails while running gets its
     error in the row's error column and does not stop the sweep.
     """
     require_integer("n_seeds", n_seeds, 1)
@@ -386,10 +387,11 @@ def run_sweep(
         for m in multiplier_values
         for it in maxiter_values
     ]
-    # An infeasible graph or a penalty too large for exact energies fails the
-    # whole sweep, as it fails run_single, before any seed is derived.
+    # An infeasible graph, a penalty too large for exact energies or a model
+    # past the energy table's size fails the whole sweep, as it fails
+    # run_single, before any seed is derived.
     for penalty in dict.fromkeys(config.resolve_penalty(g) for config in grid):
-        compile_tdp_qubo(g, penalty)
+        require_table_size(compile_tdp_qubo(g, penalty).n_vars)
     tasks = []
     for config in grid:
         p_tag = round(config.resolve_penalty(g) * 1e6)

@@ -14,6 +14,7 @@ reproducible for a fixed (objective, x0, config).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,7 +49,13 @@ class OptimizerConfig:
         require_integer("max_iterations", self.max_iterations, 1)
         require_integer("seed", self.seed)
         require_real("function_tolerance", self.function_tolerance, positive=True)
-        for lo, hi in self.bounds:
+        for interval in self.bounds:
+            # A bool or a string is no bound; NaN and inf make the interval unusable, as lo > hi does.
+            lo, hi = (
+                end if isinstance(end, numbers.Real) and not math.isfinite(end)
+                else require_real("bounds", end)
+                for end in interval
+            )
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
 

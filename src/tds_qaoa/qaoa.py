@@ -185,6 +185,7 @@ def _group_views(buffer: np.ndarray) -> list[np.ndarray]:
 def apply_cost_layer(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
     """Diagonal phase amplitude[k] *= exp(-i * gamma * energies[k]): a circuit layer at beta = 0."""
     _require_same_size(table, state)
+    require_real("gamma", gamma)
     return StateVector(state.n_qubits, Circuit(table).state([gamma, 0.0], state.amplitudes))
 
 
@@ -193,6 +194,7 @@ def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
 
     R(0) is the identity and Phi's entries are units, so beta = 0 returns the amplitudes exactly.
     """
+    require_real("beta", beta)
     table = EnergyTable(state.n_qubits, np.zeros(1 << state.n_qubits))
     return StateVector(state.n_qubits, Circuit(table).state([0.0, beta], state.amplitudes))
 
@@ -222,7 +224,12 @@ class Circuit:
         return self._layers(x)
 
     def state(self, x, start=None) -> np.ndarray:
-        """The state U(x) start, or U(x)|+> with no start, in a buffer; start enters as start * Phi*."""
+        """The state U(x) start, or U(x)|+> with no start, in a buffer; start enters as start * Phi*.
+
+        Every angle must be a finite real (run, the optimizer's path, does not check).
+        """
+        for k, angle in enumerate(np.asarray(x, dtype=object).ravel()):
+            require_real(f"angle x[{k}]", angle)
         if start is None:
             psi = self.run(x)
         else:

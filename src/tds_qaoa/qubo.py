@@ -28,6 +28,7 @@ and plain domination encodings, whose gap g satisfies
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -112,33 +113,6 @@ def slack_coefficients(n: int) -> list[int]:
     return powers + [remainder]
 
 
-def _add_linear(linear: dict[int, float], i: int, c: float) -> None:
-    linear[i] = linear.get(i, 0.0) + c
-
-
-def _add_quadratic(quad: dict[tuple[int, int], float], i: int, j: int, c: float) -> None:
-    key = (i, j) if i < j else (j, i)
-    quad[key] = quad.get(key, 0.0) + c
-
-
-def _add_squared_affine(
-    linear: dict[int, float],
-    quad: dict[tuple[int, int], float],
-    terms: list[tuple[int, float]],
-    offset: float,
-    scale: float,
-) -> float:
-    """Accumulate scale * (sum_k a_k x_k + offset)^2, folding x^2 = x.
-
-    Returns the constant contribution scale * offset^2.
-    """
-    for idx, (i, a) in enumerate(terms):
-        _add_linear(linear, i, scale * (a * a + 2.0 * offset * a))
-        for j, b in terms[idx + 1 :]:
-            _add_quadratic(quad, i, j, scale * 2.0 * a * b)
-    return scale * offset * offset
-
-
 def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
     """Build the QUBO for the total domination problem on g.
 
@@ -163,49 +137,47 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
             f"punishment coefficient {p} is too large: |V| + P * {max_violation} reaches 2^53"
         )
 
-    slack_by_vertex = {}
-    next_index = g.n_vertices
-    for v in range(g.n_vertices):
-        if degrees[v] >= 3:
-            coeffs = slack_coefficients(degrees[v])
-            indices = tuple(range(next_index, next_index + len(coeffs)))
-            slack_by_vertex[v] = SlackGroup(v, indices, tuple(coeffs))
-            next_index += len(coeffs)
-    registry = VariableRegistry(g.n_vertices, tuple(slack_by_vertex.values()))
-
+    # One pass in ascending vertex order hands out the slack indices and adds
+    # each constraint's terms. Float sums and products depend on their order,
+    # and compile's bytes are pinned: each key takes the objective's 1.0 first,
+    # then the constraints by vertex, each in term order, and products
+    # multiply left to right.
     constant = 0.0
-    linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
-
-    # Objective: the cardinality of the candidate set.
-    for v in range(g.n_vertices):
-        _add_linear(linear, v, 1.0)
-
-    for i in range(g.n_vertices):
+    linear = defaultdict(float, dict.fromkeys(range(g.n_vertices), 1.0))
+    quadratic = defaultdict(float)
+    groups = []
+    n_vars = g.n_vertices
+    for i, deg in enumerate(degrees):
         nbrs = sorted(g.neighbors(i))
-        if len(nbrs) <= 2:
+        constant += p
+        if deg <= 2:
             # P * prod_{j in N(i)} (1 - X_j)
-            constant += p
             for j in nbrs:
-                _add_linear(linear, j, -p)
-            if len(nbrs) == 2:
-                _add_quadratic(quadratic, *nbrs, p)
-        else:
-            # P * (sum_{j in N(i)} X_j - S_i - 1)^2, slack expanded
-            grp = slack_by_vertex[i]
-            terms = [(j, 1.0) for j in nbrs]
-            terms += [(idx, -float(c)) for idx, c in zip(grp.indices, grp.coefficients)]
-            constant += _add_squared_affine(linear, quadratic, terms, -1.0, p)
+                linear[j] -= p
+            if deg == 2:
+                quadratic[tuple(nbrs)] += p
+            continue
+        # P * (sum_{j in N(i)} X_j - S_i - 1)^2 with S_i = sum_k c_k s_k, x^2 folded to x
+        coeffs = slack_coefficients(deg)
+        groups.append(SlackGroup(i, tuple(range(n_vars, n_vars + len(coeffs))), tuple(coeffs)))
+        terms = [(j, 1.0) for j in nbrs] + [(n_vars + k, -float(c)) for k, c in enumerate(coeffs)]
+        n_vars += len(coeffs)
+        # The neighbours come sorted and every slack index is >= |V|, so each
+        # pair (j, k) below already has j < k.
+        for t, (j, a) in enumerate(terms):
+            linear[j] += p * (a * a - 2.0 * a)
+            for k, b in terms[t + 1 :]:
+                quadratic[j, k] += p * 2.0 * a * b
 
     linear = {i: c for i, c in sorted(linear.items()) if c != 0.0}
     quadratic = {k: c for k, c in sorted(quadratic.items()) if c != 0.0}
     return QuboModel(
-        n_vars=next_index,
+        n_vars=n_vars,
         constant=constant,
         linear=linear,
         quadratic=quadratic,
         penalty=float(p),
-        registry=registry,
+        registry=VariableRegistry(g.n_vertices, tuple(groups)),
         graph=g,
     )
 
@@ -253,15 +225,20 @@ class EnergyTable:
         return np.unique(self.energies, return_inverse=True)
 
 
+def require_table_size(n_vars: int) -> int:
+    """n_vars; ValueError unless an energy table over n_vars variables fits MAX_TABLE_BITS."""
+    if n_vars > MAX_TABLE_BITS:
+        raise ValueError(f"energy table limited to {MAX_TABLE_BITS} variables, got {n_vars}")
+    return n_vars
+
+
 def build_energy_table(m: QuboModel) -> EnergyTable:
     """Materialize the diagonal Hamiltonian exactly: energies = |D| + P * violations.
 
     Vertex bits lead each basis index, so the table is a (2^|V|, 2^slack) grid.
     |D| and the violations are integers; only P * violations can round.
     """
-    n = m.n_vars
-    if n > MAX_TABLE_BITS:
-        raise ValueError(f"energy table limited to {MAX_TABLE_BITS} variables, got {n}")
+    n = require_table_size(m.n_vars)
     g = m.graph
     n_slack = n - g.n_vertices
     sizes = subset_sizes(g.n_vertices)

@@ -304,6 +304,29 @@ class TestSweep:
         assert field in captured.err
         assert "cells:" not in captured.out
 
+    def test_graph_past_the_table_size_exits_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        # run and sweep refuse C_25 (25 variables) with one message; the sweep makes no --out.
+        path = tmp_path / "c25.txt"
+        path.write_text("25 25\n" + "".join(f"{v} {(v + 1) % 25}\n" for v in range(25)))
+        message = "error: energy table limited to 24 variables, got 25\n"
+        assert cli_entry(["run", "--graph", str(path), "--q", "1", "--maxiter", "3"]) == EXIT_USAGE
+        assert capsys.readouterr().err == message
+
+        def no_cell_may_run(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "run_single", no_cell_may_run)
+        out = tmp_path / "c25"
+        argv = [
+            "sweep", "--graph", str(path), "--q-list", "1", "--P-mult-list", "1.5", "2",
+            "--maxiter-list", "3", "--out", str(out),
+        ]
+        assert cli_entry(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert "cells:" not in captured.out
+        assert not out.exists()
+
     def test_workers_env_is_ignored(self, edge_graph, capsys, monkeypatch):
         # --workers (default 1) is the only worker setting; the environment plays no part.
         monkeypatch.setenv("TDS_QAOA_WORKERS", "two")

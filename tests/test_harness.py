@@ -537,6 +537,18 @@ class TestRunSweep:
         with pytest.raises(error, match=match):
             run_sweep(base, **options)
 
+    def test_model_past_the_table_size_raises_before_any_cell(self, tmp_path, monkeypatch):
+        # C_25 compiles to 25 variables at every penalty; run_single refuses it with this message.
+        def no_cell_may_run(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "run_single", no_cell_may_run)
+        path = tmp_path / "c25.txt"
+        path.write_text("25 25\n" + "".join(f"{v} {(v + 1) % 25}\n" for v in range(25)))
+        base = RunConfig(graph_source=str(path), seed=0)
+        with pytest.raises(ValueError, match="energy table limited to 24 variables, got 25"):
+            run_sweep(base, layer_values=(1,), multiplier_values=(1.5, 2.0), maxiter_values=(3,))
+
     def test_csv_outputs(self, tmp_path, edge_graph_path):
         base = RunConfig(graph_source=edge_graph_path, seed=0, shots=500)
         result = run_sweep(base, layer_values=(1,), multiplier_values=(1.5,), maxiter_values=(10,))

@@ -230,6 +230,13 @@ class TestMinimize:
         with pytest.raises(ValueError, match="empty or not finite"):
             OptimizerConfig(5, ((0.0, 1.0), bound))
 
+    @pytest.mark.parametrize("end", [True, np.True_, "0"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_bound_that_is_no_real_rejected(self, end, side):
+        interval = (end, 2.0) if side == 0 else (-1.0, end)
+        with pytest.raises(ValueError, match=re.escape(f"bounds must be a real number, got {end!r}")):
+            OptimizerConfig(5, ((0.0, 1.0), interval))
+
     def test_trace_csv_format(self):
         config = OptimizerConfig(max_iterations=5, bounds=((-1.0, 1.0),))
         trace = minimize(lambda x: float(x[0] ** 2), [0.5], config)

@@ -133,6 +133,11 @@ class TestCostLayer:
         with pytest.raises(ValueError):
             apply_cost_layer(uniform_state(2), EnergyTable(3, np.zeros(8)), 0.1)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match=f"gamma must be finite, got {gamma}"):
+            apply_cost_layer(uniform_state(2), EnergyTable(2, np.arange(4.0)), gamma)
+
 
 class TestMixerLayer:
     def test_zero_beta_is_identity(self):
@@ -145,6 +150,11 @@ class TestMixerLayer:
         out = apply_mixer_layer(state, np.pi / 2)
         assert out.amplitudes[0] == pytest.approx(0.0, abs=1e-12)
         assert out.amplitudes[1] == pytest.approx(-1j, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ValueError, match=f"beta must be finite, got {beta}"):
+            apply_mixer_layer(uniform_state(3), beta)
 
     def test_uniform_state_fixed_point_in_probability(self):
         state = uniform_state(4)
@@ -279,6 +289,19 @@ class TestCircuitState:
         phased = reference_cost_layer(StateVector(6, kept), circuit.table.energies, 0.3)
         expected = reference_mixer_layer(phased, 1.1)
         assert np.abs(psi - expected.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("x, message", [
+        ([float("nan"), 0.5], r"angle x\[0\] must be finite, got nan"),
+        ([0.5, float("inf")], r"angle x\[1\] must be finite, got inf"),
+        ([0.1, 0.2, float("-inf"), 0.4], r"angle x\[2\] must be finite, got -inf"),
+        ([0.1, "0.2"], r"angle x\[1\] must be a real number, got '0.2'"),
+    ])
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_angle_that_is_no_finite_real_rejected(self, x, message, with_start):
+        circuit = Circuit(random_table(np.random.default_rng(0), 3))
+        start = uniform_state(3).amplitudes if with_start else None
+        with pytest.raises(ValueError, match=message):
+            circuit.state(x, start)
 
     @pytest.mark.parametrize("shape", [(4,), (16,), (8, 1), ()])
     def test_start_of_another_size_rejected(self, shape):

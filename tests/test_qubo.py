@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -27,6 +29,11 @@ from support import (
     random_graph_min_degree,
     reference_paper6_qubo,
 )
+
+
+# SHA-256 of compile's JSON texts for the seeded graph family of
+# test_compile_bytes_match_the_recorded_digest.
+COMPILE_DIGEST = "fafb69f5e70d9dc4d1dac374c938be7c901c22ce24b3d99ef58cc8ce33e9e776"
 
 
 def bits(s):
@@ -139,6 +146,23 @@ class TestCompile:
         assert table.minimum() == 3.0
         assert len(table.argmin_indices()) == 6
         assert table.energies.max() == 22 * p  # the empty set with S = 2 at both slack groups
+
+    def test_compile_bytes_match_the_recorded_digest(self):
+        # compile is pure Python float arithmetic and random.Random.random is
+        # stable across Python versions, so these bytes hold on every host.
+        # A change to how coefficients are summed moves this digest.
+        rng = random.Random(21)
+        digest = hashlib.sha256()
+        for k in range(200):
+            n = 2 + k % 14
+            edge_prob = (0.25, 0.5, 0.8)[k % 3]
+            edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob}
+            edges |= {(v, (v + 1) % n) if v < n - 1 else (0, v)
+                      for v in range(n) if not any(v in e for e in edges)}
+            g = Graph(n, edges)
+            for p in (0.37, 1.5 * n, 0.1 + 20.0 * rng.random()):
+                digest.update(json.dumps(compile_tdp_qubo(g, p).to_dict()).encode() + b"\n")
+        assert digest.hexdigest() == COMPILE_DIGEST
 
     def test_graph_recorded_but_not_printed(self):
         g = builtin_instance()
