@@ -10,16 +10,25 @@ with itertools. The package itself builds energies only in build_energy_table.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
+import json
 import math
+import os
+import pathlib
+import platform
+import random
+import re
+import tempfile
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
-from tds_qaoa import qaoa
+from tds_qaoa import cli, qaoa
 from tds_qaoa import (
     EnergyTable,
     Graph,
@@ -508,3 +517,114 @@ def reference_minimize(objective, x0, config: OptimizerConfig) -> OptimizationTr
         best_value=best_value,
         termination_reason=termination,
     )
+
+
+GOLDEN_OUTPUTS = pathlib.Path(__file__).with_name("golden_outputs.json")
+
+
+def host_fingerprint() -> str:
+    """numpy's version, the machine and the SIMD targets numpy dispatches to on this CPU.
+
+    Seeded outputs are bit-identical only where all three agree: the GEMM
+    kernels, and so the last bits of every amplitude, follow the SIMD level.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return " ".join([f"numpy-{np.__version__}", platform.machine(), *found])
+
+
+def cycle14_inputs() -> tuple[str, int]:
+    """perfbench's cycle14-cli inputs at bench seed 1: the graph file's text and the run seed.
+
+    Drawn from random.Random(1) as perfbench/run.py's make_inputs draws them:
+    C_14 under a shuffled vertex relabelling, edges in shuffled order, then
+    the seed. (Importing perfbench/run.py would set the BLAS thread variables
+    of the whole test process.)
+    """
+    rng = random.Random(1)
+    labels = list(range(14))
+    rng.shuffle(labels)
+    edges = [(labels[i], labels[(i + 1) % 14]) for i in range(14)]
+    rng.shuffle(edges)
+    return "14 14\n" + "".join(f"{u} {v}\n" for u, v in edges), rng.randrange(1 << 31)
+
+
+def golden_commands(cycle14_seed: int) -> dict[str, list[str]]:
+    """The seeded CLI commands whose outputs golden_outputs.json pins, by name.
+
+    The C_14 command reads its graph from cycle14.txt in the working directory.
+    """
+    commands = {
+        f"headline-seed{seed}": ["run", "--q", "5", "--P", "9", "--maxiter", "500", "--seed", str(seed)]
+        for seed in range(10)
+    }
+    commands["cycle14"] = [
+        "run", "--graph", "cycle14.txt", "--q", "2", "--P", "21.0", "--maxiter", "10",
+        "--seed", str(cycle14_seed),
+    ]
+    commands["sampled"] = [
+        "run", "--q", "2", "--P", "9", "--maxiter", "50", "--sampled", "--objective-shots", "500",
+    ]
+    # 16 cells of the default seed-0 sweep: a cell's seed depends on its (q, P, maxiter) alone.
+    commands["sweep"] = [
+        "sweep", "--seed", "0", "--q-list", "2", "5", "--P-mult-list", "1.0", "1.5",
+        "--maxiter-list", "50", "100", "200", "500",
+    ]
+    return commands
+
+
+def _without_runtime(name: str, data: bytes) -> bytes:
+    """An output file's bytes with every runtime_ms value blanked."""
+    if name.endswith(".json"):
+        return re.sub(rb'"runtime_ms": [^,\n]+', b'"runtime_ms": null', data)
+    if name == "rows.csv":
+        rows = list(csv.reader(io.StringIO(data.decode())))
+        column = rows[0].index("runtime_ms")
+        for row in rows[1:]:
+            row[column] = ""
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return out.getvalue().encode()
+    return data
+
+
+def golden_digests(workdir: pathlib.Path) -> dict[str, str]:
+    """SHA-256 of every output file of golden_commands, keyed "<command>/<file>".
+
+    Runs each command in this process, with workdir as the working
+    directory, so that no absolute path reaches result.json.
+    """
+    graph_text, cycle14_seed = cycle14_inputs()
+    pathlib.Path(workdir, "cycle14.txt").write_text(graph_text)
+    digests = {}
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, argv in golden_commands(cycle14_seed).items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.cli_entry([*argv, "--out", name])
+            if status != 0:
+                raise RuntimeError(f"{name} exited with {status}: {argv}")
+            for path in sorted(pathlib.Path(name).iterdir()):
+                data = _without_runtime(path.name, path.read_bytes())
+                digests[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
+    finally:
+        os.chdir(previous)
+    return digests
+
+
+def write_golden_outputs(path: pathlib.Path = GOLDEN_OUTPUTS) -> None:
+    """Record this host's digests in golden_outputs.json; other hosts' entries stay.
+
+    Run it from the repository root as
+    `PYTHONPATH=src:tests python -c "import support; support.write_golden_outputs()"`.
+    A change that alters seeded outputs on purpose rewrites the file and
+    drops the entries of hosts it could not rerun.
+    """
+    hosts = json.loads(path.read_text())["hosts"] if path.exists() else {}
+    with tempfile.TemporaryDirectory() as workdir:
+        hosts[host_fingerprint()] = golden_digests(pathlib.Path(workdir))
+    path.write_text(json.dumps({"hosts": dict(sorted(hosts.items()))}, indent=2) + "\n")
