@@ -144,14 +144,13 @@ class RunResult:
         else:
             probs = self.vertex_counts / self.vertex_counts.sum()
             order = _descending(probs)
-        top = order[:TOP_K]
-        return list(zip(_bit_strings(top, self._n_vertices), probs[top].tolist()))
+        return [(index_to_bits(k, self._n_vertices), float(probs[k])) for k in order[:TOP_K].tolist()]
 
     @cached_property
     def exact_marginal(self) -> dict[str, float]:
         """exact_probabilities keyed by vertex bit string, in index order."""
-        bits = _bit_strings(np.arange(len(self.exact_probabilities)), self._n_vertices)
-        return dict(zip(bits, self.exact_probabilities.tolist()))
+        n = self._n_vertices
+        return {index_to_bits(k, n): p for k, p in enumerate(self.exact_probabilities.tolist())}
 
     @property
     def _n_vertices(self) -> int:
@@ -187,28 +186,25 @@ class RunResult:
         """
         fh.write("bits,probability,count\r\n")
         order = self._descending_order
+        spec = f"0{self._n_vertices}b"  # index_to_bits' spec; the rows index range(2^n), unchecked
         for start in range(0, len(order), CSV_BLOCK_ROWS):
             block = order[start:start + CSV_BLOCK_ROWS]
-            bits = _bit_strings(block, self._n_vertices)
+            probs = self.exact_probabilities[block]
+            # Sorted rows keep equal values adjacent. A run starts where the bit
+            # pattern changes, so -0.0 and 0.0 are separate runs.
+            pattern = probs.view(np.int64)
+            starts = np.concatenate(([True], pattern[1:] != pattern[:-1]))
             # A list's repr joins its items' reprs with ", ", which no float or int repr contains.
-            probs = repr(self.exact_probabilities[block].tolist())[1:-1].split(", ")
+            run_texts = repr(probs[starts].tolist())[1:-1].split(", ")
+            texts = np.array(run_texts, dtype=object)[np.cumsum(starts) - 1]
             counts = repr(self.vertex_counts[block].tolist())[1:-1].split(", ")
-            fh.write("\r\n".join(map(",".join, zip(bits, probs, counts))) + "\r\n")
+            bits = [format(k, spec) for k in block.tolist()]
+            fh.write("\r\n".join(map(",".join, zip(bits, texts, counts))) + "\r\n")
 
 
 def _descending(probs: np.ndarray) -> np.ndarray:
     """Indices by descending probability; ties keep ascending bit strings."""
     return np.argsort(-probs, kind="stable")
-
-
-def _bit_strings(indices: np.ndarray, n: int) -> list[str]:
-    """The n-character bit strings of basis-state indices, MSB first (1 <= n <= 32).
-
-    The digits are unpacked as uint8 from each index's 4 big-endian bytes.
-    """
-    octets = indices.astype(">u4").view(np.uint8).reshape(-1, 4)
-    digits = np.unpackbits(octets, axis=1)[:, 32 - n:] + ord("0")
-    return digits.view(f"S{n}").ravel().astype(f"U{n}").tolist()
 
 
 def compute_metrics(dist: np.ndarray, g: Graph) -> Metrics:
@@ -327,30 +323,67 @@ def _dicts_to_csv(rows: list[dict], fields: tuple[str, ...]) -> str:
     return out.getvalue()
 
 
-def _run_sweep_cell(config: RunConfig, graph: Graph, replicate: int) -> dict:
-    row = {
+def _sweep_row(config: RunConfig, graph: Graph, replicate: int) -> dict:
+    """A sweep row's cell columns, with an empty error."""
+    return {
         "q": config.layers_q, "P": config.resolve_penalty(graph),
         "maxiter": config.max_iterations, "seed": replicate, "error": "",
     }
+
+
+def _failed_row(row: dict, error: str) -> dict:
+    row.update(
+        z_star="", is_tds=False, is_min_tds=False, correct_prob="",
+        optimal_prob="", final_cost="", evals=0, runtime_ms=0.0, error=error,
+    )
+    return row
+
+
+def _run_sweep_cell(config: RunConfig, graph: Graph, replicate: int) -> dict:
+    row = _sweep_row(config, graph, replicate)
     try:
         result = run_single(config, graph=graph)
-        row.update(
-            z_star=result.z_star,
-            is_tds=result.z_star_is_tds,
-            is_min_tds=result.z_star_is_minimal_tds,
-            correct_prob=result.correct_probability,
-            optimal_prob=result.optimal_probability,
-            final_cost=result.trace.best_value,
-            evals=result.trace.n_evaluations,
-            runtime_ms=round(result.runtime_ms, 3),
-        )
     except Exception as exc:
-        row.update(
-            z_star="", is_tds=False, is_min_tds=False, correct_prob="",
-            optimal_prob="", final_cost="", evals=0, runtime_ms=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed_row(row, f"{type(exc).__name__}: {exc}")
+    row.update(
+        z_star=result.z_star,
+        is_tds=result.z_star_is_tds,
+        is_min_tds=result.z_star_is_minimal_tds,
+        correct_prob=result.correct_probability,
+        optimal_prob=result.optimal_probability,
+        final_cost=result.trace.best_value,
+        evals=result.trace.n_evaluations,
+        runtime_ms=round(result.runtime_ms, 3),
+    )
     return row
+
+
+def _run_pooled(tasks: list[tuple], workers: int) -> list[dict]:
+    """The rows of tasks, in task order, run in a pool of worker processes.
+
+    A worker that dies breaks its pool: the rows finished by then are kept,
+    and each unfinished task runs once more, alone in a fresh one-worker
+    pool, so that a second death is pinned to its own cell. That cell gets
+    the error "worker process died"; no cell runs more than twice.
+    """
+    # Imported here: the pool, and the logging it loads, serve pooled sweeps only.
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    def row_of(future):
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            return None
+
+    # The pool forks all its workers at the first submit: no more than there are tasks.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        rows = [row_of(f) for f in [pool.submit(_run_sweep_cell, *task) for task in tasks]]
+    for i in [i for i, row in enumerate(rows) if row is None]:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            row = row_of(pool.submit(_run_sweep_cell, *tasks[i]))
+        rows[i] = row or _failed_row(_sweep_row(*tasks[i]), "worker process died")
+    return rows
 
 
 def run_sweep(
@@ -368,8 +401,9 @@ def run_sweep(
     seed is derived. A bad file, an infeasible graph, a bad or repeated grid
     value, a penalty too large for exact energies, a model past the energy
     table's MAX_TABLE_BITS variables, or a bad n_seeds or workers raises
-    before any cell runs; a cell that fails while running gets its
-    error in the row's error column and does not stop the sweep.
+    before any cell runs; a cell that fails while running, or whose worker
+    process dies twice (see _run_pooled), gets its error in the row's error
+    column and does not stop the sweep.
     """
     require_integer("n_seeds", n_seeds, 1)
     require_integer("workers", workers, 1)
@@ -399,12 +433,7 @@ def run_sweep(
             seed = derive_seed(base.seed, config.layers_q, p_tag, config.max_iterations, r)
             tasks.append((replace(config, seed=seed), g, r))
     if workers > 1 and len(tasks) > 1:
-        # Imported here: the pool, and the logging it loads, serve pooled sweeps only.
-        import concurrent.futures
-
-        # The pool forks all its workers at the first submit: no more than there are tasks.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            rows = list(pool.map(_run_sweep_cell, *zip(*tasks), chunksize=1))
+        rows = _run_pooled(tasks, workers)
     else:
         rows = [_run_sweep_cell(*t) for t in tasks]
     rows.sort(key=lambda r: (r["q"], r["P"], r["maxiter"], r["seed"]))

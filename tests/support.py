@@ -403,6 +403,26 @@ def reference_bit_strings(n: int) -> list[str]:
     return [index_to_bits(k, n) for k in range(1 << n)]
 
 
+def exit_in_pool_workers(run_single, layers_q: int, log: pathlib.Path):
+    """run_single, except that a pool worker ends its process on a cell with layers_q layers.
+
+    Only a process other than the caller's exits, at once and with no
+    cleanup, as an out-of-memory kill would end it; a sweep's workers get this
+    function only when they fork. Every call first appends the cell's
+    "layers_q seed" line to log.
+    """
+    caller = os.getpid()
+
+    def run(config, graph=None):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{config.layers_q} {config.seed}\n")
+        if config.layers_q == layers_q and os.getpid() != caller:
+            os._exit(1)
+        return run_single(config, graph=graph)
+
+    return run
+
+
 def distribution_csv_text(result) -> str:
     """The distribution.csv text that RunResult.write_distribution_csv writes."""
     out = io.StringIO()

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from tds_qaoa import cli, harness
 from tds_qaoa.cli import EXIT_INFEASIBLE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, cli_entry
+from support import exit_in_pool_workers
 
 
 @pytest.fixture
@@ -273,6 +275,25 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "cells failed: 1" in captured.out
         assert "cell blew up at q=2" in captured.err
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the failing run_single reaches pool workers only when they fork",
+    )
+    def test_dead_worker_still_writes_the_sweep(self, edge_graph, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            harness, "run_single", exit_in_pool_workers(harness.run_single, 2, tmp_path / "calls.txt")
+        )
+        out = tmp_path / "sweep"
+        code = cli_entry([
+            "sweep", "--graph", edge_graph, "--q-list", "1", "2", "--P-mult-list", "1.5",
+            "--maxiter-list", "3", "--shots", "100", "--workers", "2", "--out", str(out),
+        ])
+        assert code == EXIT_INTERNAL
+        assert sorted(p.name for p in out.iterdir()) == ["rows.csv", "summary.csv", "sweep.json"]
+        captured = capsys.readouterr()
+        assert "cells failed: 1" in captured.out
+        assert "first failed cell: worker process died" in captured.err
 
     @pytest.mark.parametrize("flags, field", [
         (["--q-list", "0"], "layers_q"),

@@ -1,4 +1,6 @@
+import collections
 import json
+import multiprocessing
 import re
 import tracemalloc
 from dataclasses import replace
@@ -38,6 +40,7 @@ from tds_qaoa.harness import (
 from support import (
     PAPER6_MIN_TDS,
     distribution_csv_text,
+    exit_in_pool_workers,
     metrics_reference,
     random_graph,
     reference_bit_strings,
@@ -310,6 +313,35 @@ def _tied_result() -> RunResult:
     )
 
 
+def _width_result(n: int) -> RunResult:
+    """n vertices, bit strings across byte boundaries; every third probability ties with the first."""
+    rng = np.random.default_rng(n)
+    probs = rng.random(1 << n)
+    probs[::3] = probs[0]
+    return replace(
+        _tied_result(),
+        exact_probabilities=probs / probs.sum(),
+        vertex_counts=rng.integers(0, 100, size=1 << n),
+    )
+
+
+def _run_across_blocks_result() -> RunResult:
+    """2,048 rows: a run of 100 equal probabilities across row 1,024, and -0.0 beside 0.0 at the end."""
+    rng = np.random.default_rng(11)
+    probs = np.concatenate([
+        0.5 + rng.random(1000),
+        np.full(100, 0.25),
+        0.1 * rng.random(900),
+        np.tile([0.0, -0.0], 24),
+    ])
+    order = rng.permutation(len(probs))
+    return replace(
+        _tied_result(),
+        exact_probabilities=probs[order],
+        vertex_counts=rng.integers(0, 100, size=len(probs)),
+    )
+
+
 @pytest.fixture(scope="module")
 def output_results():
     """Results whose outputs are compared with the per-row references."""
@@ -322,14 +354,19 @@ def output_results():
         ),
         "cycle12": run_single(RunConfig(layers_q=2, penalty=18.0, max_iterations=10, seed=5), graph=cycle12),
         "tied": _tied_result(),
+        **{f"width-{n}": _width_result(n) for n in WIDTHS},
+        "run-across-blocks": _run_across_blocks_result(),
     }
 
 
 OUTPUT_CASES = ("paper6-exact", "paper6-sampled", "cycle12", "tied")
+# Bit-string widths at and beside byte boundaries, up to what the per-row reference writes quickly.
+WIDTHS = (1, 7, 8, 9, 16, 17)
+WRITER_CASES = tuple(f"width-{n}" for n in WIDTHS) + ("run-across-blocks",)
 
 
 class TestRunOutputsAgainstReference:
-    @pytest.mark.parametrize("name", OUTPUT_CASES)
+    @pytest.mark.parametrize("name", OUTPUT_CASES + WRITER_CASES)
     def test_distribution_csv_bytes(self, output_results, name):
         result = output_results[name]
         expected = reference_distribution_csv(result).encode()
@@ -362,12 +399,6 @@ class TestRunOutputsAgainstReference:
         scored = result.exact_probabilities if result.config.exact_metrics else counts / counts.sum()
         order = np.argsort(-scored, kind="stable")[:harness.TOP_K]
         assert result.top_k == [(index_to_bits(int(k), n), float(scored[k])) for k in order]
-
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24])
-    def test_bit_strings_at_byte_boundaries(self, n):
-        drawn = np.random.default_rng(n).integers(0, 1 << n, size=64)
-        indices = np.concatenate([[0, 1, (1 << n) - 1], drawn])
-        assert harness._bit_strings(indices, n) == [index_to_bits(int(k), n) for k in indices]
 
     def test_distribution_writer_memory_is_bounded(self):
         # 2^14 distinct probabilities; the writer's transient memory is per block, not per row.
@@ -566,13 +597,36 @@ class TestRunSweep:
         parallel = run_sweep(base, workers=2, **kwargs)
         assert self._strip_timing(serial.rows) == self._strip_timing(parallel.rows)
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the failing run_single reaches pool workers only when they fork",
+    )
+    def test_a_dead_worker_costs_only_its_own_cells(self, edge_graph_path, tmp_path, monkeypatch):
+        base = RunConfig(graph_source=edge_graph_path, seed=1, shots=500)
+        kwargs = dict(layer_values=(1, 2, 3), multiplier_values=(1.5,), maxiter_values=(5,), n_seeds=2)
+        serial = run_sweep(base, workers=1, **kwargs)
+        log = tmp_path / "calls.txt"
+        monkeypatch.setattr(harness, "run_single", exit_in_pool_workers(harness.run_single, 2, log))
+        pooled = run_sweep(base, workers=2, **kwargs)
+
+        died = [row for row in pooled.rows if row["q"] == 2]
+        assert [row["error"] for row in died] == ["worker process died"] * 2
+        assert all(row["evals"] == 0 and row["z_star"] == "" for row in died)
+        kept = [row for row in serial.rows if row["q"] != 2]
+        assert self._strip_timing([row for row in pooled.rows if row["q"] != 2]) == self._strip_timing(kept)
+        assert [s["q"] for s in pooled.summaries] == [1, 3]
+        # Each cell runs at most twice: in the first pool, if it started before that pool
+        # broke, and then alone in a fresh one.
+        calls = collections.Counter(log.read_text().splitlines())
+        assert len(calls) == 6 and max(calls.values()) <= 2
+
     def test_pool_starts_no_more_workers_than_tasks(self, edge_graph_path, monkeypatch):
         import concurrent.futures
 
         pool_sizes = []
 
         class InProcessPool:
-            """Records its size and maps in this process: it starts no process."""
+            """Records its size and runs each task in this process: it starts no process."""
 
             def __init__(self, max_workers):
                 pool_sizes.append(max_workers)
@@ -583,8 +637,10 @@ class TestRunSweep:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         base = RunConfig(graph_source=edge_graph_path, seed=1, shots=500)
         kwargs = dict(layer_values=(1, 2), multiplier_values=(1.5,), maxiter_values=(5,))
