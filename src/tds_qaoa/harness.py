@@ -76,6 +76,8 @@ class RunConfig:
     objective_shots: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.graph_source, str):
+            raise ValueError(f"graph_source must be a string, got {self.graph_source!r}")
         for name in ("layers_q", "max_iterations", "shots", "objective_shots"):
             if getattr(self, name) is not None:
                 require_integer(name, getattr(self, name), 1, MAX_COUNT)

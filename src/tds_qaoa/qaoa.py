@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import MAX_COUNT, MAX_TABLE_BITS, require_integer, require_real, subset_sizes
+from .graphs import MAX_COUNT, require_integer, require_real, subset_sizes
 from .qubo import EnergyTable
 
 # Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
@@ -44,6 +44,9 @@ _MIXER_GROUP = 5
 
 # Floats per operand block of a group's matmul: at 2^14 amplitudes, smaller GEMMs run faster.
 _BLOCK_FLOATS = 4096
+
+# Layers whose phases and rotations are built at once: kernel memory then does not grow with q.
+_LAYER_BLOCK = 64
 
 # i^m for m = 0..3: Phi* and Phi are i^popcount(x) and i^(3 * popcount(x)).
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
@@ -204,9 +207,6 @@ class Circuit:
 
     def __init__(self, table: EnergyTable):
         n = table.n_vars
-        require_integer("qubit count", n, 1, MAX_TABLE_BITS)
-        if table.energies.shape != (1 << n,):
-            raise ValueError(f"table of {n} variables has energies of shape {table.energies.shape}")
         self.table = table
         # The level index (built on a table's first run) comes before the
         # buffers, which then reuse the memory its sort freed.
@@ -251,37 +251,39 @@ class Circuit:
         """The layers of x on the state in the first buffer; returns the buffer it ends in.
 
         Each layer gathers its phases into the free buffer, one per distinct energy
-        (one np.exp gives every layer's: q * 62 at paper6, q * 2^n at worst), then
-        runs R(beta) as one matmul per qubit group (see _group_views).
+        (one np.exp per _LAYER_BLOCK layers: 64 * 62 at paper6, 64 * 2^n at worst),
+        then runs R(beta) as one matmul per qubit group (see _group_views).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size % 2 or not x.size:
             raise ValueError(f"parameter vector of shape {x.shape} is not [gammas..., betas...]")
         q = x.size // 2
-        betas = x[q:].tolist()
-        cos, sin = [math.cos(b) for b in betas], [math.sin(b) for b in betas]
-        # Phases before rotations: np.multiply.outer buffers about 14 KB while it runs.
-        level_phases = np.multiply.outer(-1j * x[:q], self._levels)
-        np.exp(level_phases, out=level_phases)
-        rotations = {k: _rotations(k, cos, sin) for k in self._sizes}
         last, last_views = self._last
         right, right_view = self._right
         state = 0
-        for layer in range(q):
-            psi, phases = self._buffers[state], self._buffers[1 - state]
-            # mode="clip" gathers straight into phases; the default mode buffers the
-            # output. inverse is in range, so clipping changes nothing.
-            level_phases[layer].take(self._inverse, out=phases, mode="clip")
-            # Operands in the order of amplitudes * phases: numpy's complex product
-            # can round differently with them swapped.
-            np.multiply(psi, phases, out=psi)
-            for k, views in self._left:
-                np.matmul(rotations[k][layer], views[state], out=views[1 - state])
-                state ^= 1
-            if last:
-                right_view[...] = rotations[last][layer].T
-                np.matmul(last_views[state], right, out=last_views[1 - state])
-                state ^= 1
+        for first in range(0, q, _LAYER_BLOCK):
+            block = slice(first, first + _LAYER_BLOCK)
+            betas = x[q:][block].tolist()
+            cos, sin = [math.cos(b) for b in betas], [math.sin(b) for b in betas]
+            # Phases before rotations: np.multiply.outer buffers about 14 KB while it runs.
+            level_phases = np.multiply.outer(-1j * x[:q][block], self._levels)
+            np.exp(level_phases, out=level_phases)
+            rotations = {k: _rotations(k, cos, sin) for k in self._sizes}
+            for layer in range(len(betas)):
+                psi, phases = self._buffers[state], self._buffers[1 - state]
+                # mode="clip" gathers straight into phases; the default mode buffers the
+                # output. inverse is in range, so clipping changes nothing.
+                level_phases[layer].take(self._inverse, out=phases, mode="clip")
+                # Operands in the order of amplitudes * phases: numpy's complex product
+                # can round differently with them swapped.
+                np.multiply(psi, phases, out=psi)
+                for k, views in self._left:
+                    np.matmul(rotations[k][layer], views[state], out=views[1 - state])
+                    state ^= 1
+                if last:
+                    right_view[...] = rotations[last][layer].T
+                    np.matmul(last_views[state], right, out=last_views[1 - state])
+                    state ^= 1
         return self._buffers[state]
 
     def probabilities(self, x) -> np.ndarray:

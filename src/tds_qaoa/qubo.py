@@ -36,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (
-    MAX_TABLE_BITS, Graph, InfeasibleGraphError, degree_partition, require_real, subset_sizes,
+    MAX_TABLE_BITS, Graph, InfeasibleGraphError, degree_partition, require_integer, require_real,
+    subset_sizes,
 )
 
 
@@ -199,10 +200,25 @@ def index_to_bits(index: int, n_vars: int) -> str:
 
 @dataclass(frozen=True)
 class EnergyTable:
-    """QUBO energies over all 2^n_vars basis states, indexed per bits_to_index."""
+    """QUBO energies over all 2^n_vars basis states, indexed per bits_to_index.
+
+    Checked when built (see __post_init__); energies is a read-only float64 copy of the input.
+    """
 
     n_vars: int
     energies: np.ndarray
+
+    def __post_init__(self):
+        n = require_integer("qubit count", self.n_vars, 1, MAX_TABLE_BITS)
+        energies = np.asarray(self.energies)
+        if energies.shape != (1 << n,):
+            raise ValueError(f"table of {n} variables has energies of shape {energies.shape}")
+        if energies.dtype.kind not in "iuf" or not np.isfinite(energies).all():
+            raise ValueError(f"energy table holds a non-finite or non-real energy ({energies.dtype})")
+        energies = energies.astype(np.float64)
+        energies.setflags(write=False)
+        object.__setattr__(self, "n_vars", n)
+        object.__setattr__(self, "energies", energies)
 
     def minimum(self) -> float:
         return float(self.energies.min())

@@ -272,6 +272,12 @@ class TestRunSingle:
             RunConfig(**{name: float("nan")})
         assert getattr(RunConfig(**{name: -0.5}), name) == -0.5
 
+    @pytest.mark.parametrize("value", [None, 123, b"builtin:paper6"])
+    def test_graph_source_must_be_a_string(self, value):
+        """Such a source once failed deep in load_graph, after the run had begun."""
+        with pytest.raises(ValueError, match=re.escape(f"graph_source must be a string, got {value!r}")):
+            RunConfig(graph_source=value)
+
     def test_exact_metrics_must_be_a_bool(self):
         with pytest.raises(ValueError, match="exact_metrics must be a bool, got 'no'"):
             RunConfig(exact_metrics="no")

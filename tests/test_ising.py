@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tds_qaoa import (
+    Circuit,
     EnergyTable,
     Graph,
     QuboModel,
@@ -155,3 +156,49 @@ class TestEnergyTable:
     def test_resource_limit(self):
         with pytest.raises(ValueError, match="limited"):
             build_energy_table(model(25))
+
+    @pytest.mark.parametrize("n_vars, energies, message", [
+        (3, [0.0] * 7, "table of 3 variables has energies of shape \\(7,\\)"),
+        (3, np.zeros((2, 4)), "energies of shape \\(2, 4\\)"),
+        (3, np.zeros(8, dtype=complex), "non-finite or non-real energy \\(complex128\\)"),
+        (3, [0.0] * 7 + [float("nan")], "non-finite or non-real energy"),
+        (3, [0.0] * 7 + [float("-inf")], "non-finite or non-real energy"),
+        (3, [None] * 8, "non-finite or non-real energy \\(object\\)"),
+        (0, [0.0], "qubit count must be at least 1, got 0"),
+        (25, [0.0], "qubit count must be at most 24, got 25"),
+        (True, [0.0, 1.0], "qubit count must be an integer, got True"),
+        (2.0, [0.0] * 4, "qubit count must be an integer"),
+    ])
+    def test_misuse_rejected_when_built(self, n_vars, energies, message):
+        with pytest.raises(ValueError, match=message):
+            EnergyTable(n_vars, energies)
+
+    def test_list_of_the_right_length_converted(self):
+        table = EnergyTable(np.int64(3), [0, 1, 2, 3, 4, 5, 6, 7])
+        assert type(table.n_vars) is int and table.n_vars == 3
+        assert table.energies.dtype == np.float64
+        assert np.array_equal(table.energies, np.arange(8.0))
+        assert np.isfinite(Circuit(table).expectation([0.3, 0.4]))
+
+    def test_energies_are_read_only(self):
+        table = EnergyTable(2, np.arange(4.0))
+        with pytest.raises(ValueError, match="read-only"):
+            table.energies[0] = 5.0
+        assert np.array_equal(table.energies, np.arange(4.0))
+
+    def test_callers_array_is_not_aliased(self):
+        energies = np.arange(8.0)
+        table = EnergyTable(3, energies)
+        energies *= 2.0
+        energies[0] = np.nan
+        assert np.array_equal(table.energies, np.arange(8.0))
+
+    def test_levels_cannot_go_stale(self):
+        """Doubling the energies after a run once left the cached level index behind."""
+        table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
+        x = [0.3, 0.5, 0.7, 0.2]
+        before = Circuit(table).expectation(x)
+        with pytest.raises(ValueError, match="read-only"):
+            table.energies *= 2.0
+        assert Circuit(table).expectation(x) == before
+        assert np.array_equal(table.levels[0][table.levels[1]], table.energies)

@@ -58,6 +58,20 @@ def c14_evaluation_peak(seed: int) -> int:
         tracemalloc.stop()
 
 
+def paper6_evaluation_peak(q: int) -> int:
+    """Peak bytes that tracemalloc sees above the start over one paper6 evaluation at q layers."""
+    circuit = Circuit(build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0)))
+    x = np.random.default_rng(q).uniform(0.0, np.pi, size=2 * q)
+    circuit.expectation(x[:2])  # builds the level index
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        circuit.expectation(x)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 # One mixer group (n <= 5), then two or three groups of equal and of unequal sizes.
 REFERENCE_SIZES = (1, 2, 4, 5, 6, 9, 10, 11, 12, 14)
 
@@ -332,11 +346,24 @@ class TestCircuit:
 
     @pytest.mark.parametrize("n_vars, size", [(3, 16), (4, 8), (0, 1)])
     def test_table_size_mismatch_rejected(self, n_vars, size):
-        table = EnergyTable(n_vars, np.zeros(size))
+        """The table refuses itself, so no Circuit or evolve ever sees it."""
         with pytest.raises(ValueError, match="energies of shape|qubit count"):
-            Circuit(table)
-        with pytest.raises(ValueError, match="energies of shape|qubit count"):
-            evolve(table, AngleSchedule((0.1,), (0.2,)))
+            EnergyTable(n_vars, np.zeros(size))
+
+    @pytest.mark.parametrize("q", [63, 64, 65, 130])  # either side of one and two layer blocks
+    @pytest.mark.parametrize("g", [builtin_instance()] + [
+        Graph(n, [(v, (v + 1) % n) for v in range(n)]) for n in (5, 14)
+    ], ids=["paper6", "C_5", "C_14"])
+    def test_run_matches_reference_across_layer_blocks(self, g, q):
+        assert qaoa._LAYER_BLOCK == 64
+        table = build_energy_table(compile_tdp_qubo(g, 1.5 * g.n_vertices))
+        x = np.random.default_rng(q).uniform(-7.0, 7.0, size=2 * q)
+        expected = reference_layers(table, x).view(np.float64)
+        assert np.array_equal(Circuit(table).run(x).view(np.float64), expected)
+
+    def test_evaluation_memory_does_not_grow_with_layers(self):
+        """Each block of _LAYER_BLOCK layers builds its own phases and rotations."""
+        assert paper6_evaluation_peak(20_000) < paper6_evaluation_peak(64) + 2_000_000
 
     def test_evaluations_reuse_their_buffers(self):
         assert c14_evaluation_peak(seed=14) < (1 << 14) * 16
