@@ -5,7 +5,7 @@ A *total* dominating set additionally requires every vertex of D itself to
 have a neighbor in D, i.e. every vertex of the graph must see D through its
 open neighborhood N(i) (which excludes i).
 
-The exact oracles tabulate all 2^n vertex subsets at once (SubsetTable).
+The exact oracles tabulate all 2^n vertex subsets at once (subset_table).
 Subset k contains vertex i iff bit n-1-i of k is set: vertex 0 is the most
 significant bit, the convention of the energy table and of bit strings.
 """
@@ -154,26 +154,8 @@ MAX_GRAPH_VERTICES = 1 << 16
 MAX_TABLE_BITS = 24
 
 
-@dataclass(frozen=True)
-class SubsetTable:
-    """Validity flag and size of every vertex subset of one graph, MSB first."""
-
-    n_vertices: int
-    valid: np.ndarray
-    sizes: np.ndarray
-
-    def minimum_size(self) -> int:
-        if not self.valid.any():
-            raise InfeasibleGraphError("no TDS exists: graph has an isolated vertex")
-        return int(self.sizes[self.valid].min())
-
-    def optimal(self) -> np.ndarray:
-        """Boolean mask of the valid subsets of minimum size."""
-        return self.valid & (self.sizes == self.minimum_size())
-
-
-def subset_table(g: Graph, closed: bool = False) -> SubsetTable:
-    """Tabulate all 2^n vertex subsets (n <= 24): valid or not, and size.
+def subset_table(g: Graph, closed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, sizes) over all 2^n vertex subsets (n <= 24), MSB first.
 
     Valid means a TDS: the subset meets the open neighborhood N(i) of every
     vertex i. With closed=True it means a DS: it meets every N(i) + {i}.
@@ -188,7 +170,7 @@ def subset_table(g: Graph, closed: bool = False) -> SubsetTable:
         if closed:
             required |= 1 << (n - 1 - i)
         valid &= (index & required) != 0
-    return SubsetTable(n, valid, subset_sizes(n))
+    return valid, subset_sizes(n)
 
 
 def subset_sizes(n: int) -> np.ndarray:
@@ -200,16 +182,24 @@ def subset_sizes(n: int) -> np.ndarray:
     return sizes
 
 
-def _optimal_sets(table: SubsetTable) -> tuple[int, list[frozenset[int]]]:
+def optimal_subsets(valid: np.ndarray, sizes: np.ndarray) -> tuple[int, np.ndarray]:
+    """Minimum valid size and the boolean mask of the valid subsets of that size."""
+    if not valid.any():
+        raise InfeasibleGraphError("no TDS exists: graph has an isolated vertex")
+    size = int(sizes[valid].min())
+    return size, valid & (sizes == size)
+
+
+def _optimal_sets(g: Graph, closed: bool) -> tuple[int, list[frozenset[int]]]:
     """Minimum size and all optimal sets, ordered as itertools.combinations.
 
     Among subsets of one size, descending index is that order.
     """
-    n = table.n_vertices
-    size = table.minimum_size()
+    n = g.n_vertices
+    size, optimal = optimal_subsets(*subset_table(g, closed))
     return size, [
         frozenset(i for i in range(n) if (k >> (n - 1 - i)) & 1)
-        for k in np.flatnonzero(table.optimal())[::-1]
+        for k in np.flatnonzero(optimal)[::-1]
     ]
 
 
@@ -219,12 +209,12 @@ def minimum_tds_bruteforce(g: Graph) -> tuple[int, list[frozenset[int]]]:
     Exhaustive over all 2^n subsets (n <= 24). Raises InfeasibleGraphError
     if the graph has an isolated vertex, since no TDS exists then.
     """
-    return _optimal_sets(subset_table(g))
+    return _optimal_sets(g, closed=False)
 
 
 def minimum_ds_bruteforce(g: Graph) -> tuple[int, list[frozenset[int]]]:
     """Exact minimum dominating set size and all optimal sets (n <= 24)."""
-    return _optimal_sets(subset_table(g, closed=True))
+    return _optimal_sets(g, closed=True)
 
 
 def degree_partition(g: Graph) -> DegreePartition:

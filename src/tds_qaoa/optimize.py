@@ -60,7 +60,7 @@ class OptimizerConfig:
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizationTrace:
     """Every evaluated (point, value) in order, plus the running optimum."""
 

@@ -53,7 +53,7 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 _QUARTER_TURNS.setflags(write=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """2^n_qubits complex amplitudes over computational basis states."""
 
@@ -334,9 +334,12 @@ def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
     block of slack completions of vertex prefix v. The sums keep dist's
     dtype and are not normalized.
     """
+    dist = np.asarray(dist)
+    if dist.ndim != 1:
+        raise ValueError(f"dense distribution must be 1-D, got shape {dist.shape}")
     size = len(dist)
     n_qubits = size.bit_length() - 1
     if 1 << n_qubits != size:
         raise ValueError(f"dense distribution length {size} is not a power of two")
     require_integer("n_vertex_vars", n_vertex_vars, 0, n_qubits)
-    return np.asarray(dist).reshape(1 << n_vertex_vars, -1).sum(axis=1)
+    return dist.reshape(1 << n_vertex_vars, -1).sum(axis=1)

@@ -184,25 +184,31 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
 
 
 def bits_to_index(bits: str | Sequence[int]) -> int:
-    """Basis-state integer for a bit string ("100011") or 0/1 sequence."""
+    """Basis-state integer for a bit string ("100011") or 0/1 sequence; ValueError names a bad item."""
     index = 0
     for b in bits:
-        index = (index << 1) | int(b)
+        bit = {"0": 0, "1": 1}.get(b) if isinstance(b, str) else b
+        if isinstance(bit, bool) or not hasattr(type(bit), "__index__") or bit not in (0, 1):
+            raise ValueError(f"bit string item {b!r} is not 0 or 1")
+        index = (index << 1) | int(bit)
     return index
 
 
 def index_to_bits(index: int, n_vars: int) -> str:
     """Bit string of length n_vars for a basis-state integer."""
+    n_vars = require_integer("n_vars", n_vars, 0)
+    index = require_integer("index", index)
     if not 0 <= index < (1 << n_vars):
         raise ValueError(f"index {index} out of range for {n_vars} variables")
     return format(index, f"0{n_vars}b") if n_vars else ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyTable:
     """QUBO energies over all 2^n_vars basis states, indexed per bits_to_index.
 
     Checked when built (see __post_init__); energies is a read-only float64 copy of the input.
+    Tables compare and hash by identity.
     """
 
     n_vars: int

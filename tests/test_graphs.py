@@ -15,7 +15,7 @@ from tds_qaoa import (
     minimum_tds_bruteforce,
     parse_graph,
 )
-from tds_qaoa.graphs import subset_sizes
+from tds_qaoa.graphs import optimal_subsets, subset_sizes, subset_table
 from support import PAPER6_MIN_TDS, min_sets_reference, random_graph
 
 
@@ -164,6 +164,30 @@ class TestBruteforceOracles:
             sizes = subset_sizes(n)
             assert sizes.dtype == np.uint8
             assert sizes.tolist() == [bin(k).count("1") for k in range(1 << n)]
+
+
+class TestOptimalSubsets:
+    def test_isolated_vertex_infeasible(self):
+        with pytest.raises(InfeasibleGraphError, match="^no TDS exists: graph has an isolated vertex$"):
+            optimal_subsets(*subset_table(Graph(3, [(0, 1)])))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_mask_selects_the_reference_sets(self, closed):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for _ in range(6):
+            for n in range(1, 10):
+                g = random_graph(rng, n, edge_prob=float(rng.uniform(0.3, 0.8)))
+                if not closed and min(g.degrees()) == 0:
+                    continue
+                size, sets = min_sets_reference(g, closed)
+                expected = sorted(sum(1 << (n - 1 - v) for v in d) for d in sets)
+                got_size, mask = optimal_subsets(*subset_table(g, closed))
+                assert got_size == size
+                assert mask.dtype == bool and mask.shape == (1 << n,)
+                assert np.flatnonzero(mask).tolist() == expected
+                checked += 1
+        assert checked >= 25
 
 
 class TestDegreePartition:

@@ -10,6 +10,7 @@ import pytest
 
 from tds_qaoa import (
     AngleSchedule,
+    EnergyTable,
     Graph,
     InfeasibleGraphError,
     Metrics,
@@ -17,6 +18,7 @@ from tds_qaoa import (
     OptimizerConfig,
     RunConfig,
     RunResult,
+    StateVector,
     angle_bounds,
     build_energy_table,
     builtin_instance,
@@ -317,6 +319,20 @@ def _tied_result() -> RunResult:
         exact_probabilities=np.array([0.0, 0.25, 0.125, 0.25, 0.0, 0.125, 0.25, 0.0]),
         vertex_counts=np.array([0, 3, 0, 2, 1, 0, 4, 0]),
     )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EnergyTable(2, [0.0, 1.0, 2.0, 3.0]),
+    lambda: StateVector(1, np.array([1.0, 0.0], dtype=complex)),
+    lambda: OptimizationTrace([(np.array([0.5]), 1.0)], np.array([0.5]), 1.0, "converged"),
+    _tied_result,
+], ids=["EnergyTable", "StateVector", "OptimizationTrace", "RunResult"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2 and a in {a} and b not in {a}
 
 
 def _width_result(n: int) -> RunResult:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,29 @@ class TestBitConvention:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             index_to_bits(64, 6)
+
+    def test_numpy_integers_accepted(self):
+        assert bits_to_index(np.array([1, 0, 1])) == 5
+        assert bits_to_index([np.int64(1), np.uint8(1)]) == 3
+        assert index_to_bits(np.int64(5), np.int32(3)) == "101"
+
+    @pytest.mark.parametrize("bits, bad", [
+        ("12", "'2'"), ([1, 2], "2"), ("1a", "'a'"), ([1, True], "True"), ([1.0], "1.0"), (["01"], "'01'"),
+    ])
+    def test_bits_other_than_zero_or_one_rejected(self, bits, bad):
+        with pytest.raises(ValueError, match=f"^bit string item {re.escape(bad)} is not 0 or 1$"):
+            bits_to_index(bits)
+
+    @pytest.mark.parametrize("index, n_vars, name", [
+        (True, 3, "index"), (1.5, 3, "index"), ("1", 3, "index"), (2, 1.0, "n_vars"), (0, False, "n_vars"),
+    ])
+    def test_index_to_bits_requires_integers(self, index, n_vars, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            index_to_bits(index, n_vars)
+
+    def test_negative_width_rejected(self):
+        with pytest.raises(ValueError, match="n_vars must be at least 0"):
+            index_to_bits(0, -1)
 
 
 class TestQuboToSpin:

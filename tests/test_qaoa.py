@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -518,6 +519,10 @@ class TestMarginalize:
     def test_bad_shape_rejected(self, size, n_vertex):
         with pytest.raises(ValueError):
             marginalize_vertices(np.ones(size), n_vertex)
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("must be 1-D, got shape (4, 2)")):
+            marginalize_vertices(np.ones((4, 2)), 1)
 
     @pytest.mark.parametrize("n_vertex", [1.5, 2.0, "2", True])
     def test_vertex_count_must_be_an_integer(self, n_vertex):
