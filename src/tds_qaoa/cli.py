@@ -59,16 +59,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self.format_usage())
 
 
+def _out_path(path: str) -> pathlib.Path:
+    """An --out path; an empty one names nothing, so it is refused rather than dropped."""
+    if not path:
+        raise argparse.ArgumentTypeError("the path must not be empty")
+    return pathlib.Path(path)
+
+
 def _out_file(path: str) -> str:
     """--out of compile and trace: a file in a directory that exists."""
-    if path and (pathlib.Path(path).is_dir() or not pathlib.Path(path).parent.is_dir()):
+    target = _out_path(path)
+    if target.is_dir() or not target.parent.is_dir():
         raise argparse.ArgumentTypeError(f"{path} is not a file in an existing directory")
     return path
 
 
 def _out_dir(path: str) -> str:
     """--out of run and sweep: a directory, made if missing; no file may stand in its way."""
-    target = pathlib.Path(path)
+    target = _out_path(path)
     if blocker := next((p for p in (target, *target.parents) if p.exists() and not p.is_dir()), None):
         raise argparse.ArgumentTypeError(f"{blocker} exists and is not a directory")
     return path

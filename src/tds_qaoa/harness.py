@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import pathlib
 import time
@@ -320,34 +321,25 @@ def _dicts_to_csv(rows: list[dict], fields: tuple[str, ...]) -> str:
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=fields)
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in fields})
+    writer.writerows(rows)
     return out.getvalue()
 
 
-def _sweep_row(config: RunConfig, graph: Graph, replicate: int) -> dict:
-    """A sweep row's cell columns, with an empty error."""
+def _sweep_row(config: RunConfig, replicate: int, error: str) -> dict:
+    """A sweep row: the cell's columns, the error, and the run's columns at their failure values."""
     return {
-        "q": config.layers_q, "P": config.resolve_penalty(graph),
-        "maxiter": config.max_iterations, "seed": replicate, "error": "",
+        "q": config.layers_q, "P": config.penalty, "maxiter": config.max_iterations,
+        "seed": replicate, "error": error, "z_star": "", "is_tds": False, "is_min_tds": False,
+        "correct_prob": "", "optimal_prob": "", "final_cost": "", "evals": 0, "runtime_ms": 0.0,
     }
 
 
-def _failed_row(row: dict, error: str) -> dict:
-    row.update(
-        z_star="", is_tds=False, is_min_tds=False, correct_prob="",
-        optimal_prob="", final_cost="", evals=0, runtime_ms=0.0, error=error,
-    )
-    return row
-
-
 def _run_sweep_cell(config: RunConfig, graph: Graph, replicate: int) -> dict:
-    row = _sweep_row(config, graph, replicate)
     try:
         result = run_single(config, graph=graph)
     except Exception as exc:
-        return _failed_row(row, f"{type(exc).__name__}: {exc}")
-    row.update(
+        return _sweep_row(config, replicate, f"{type(exc).__name__}: {exc}")
+    return _sweep_row(config, replicate, "") | dict(
         z_star=result.z_star,
         is_tds=result.z_star_is_tds,
         is_min_tds=result.z_star_is_minimal_tds,
@@ -357,7 +349,6 @@ def _run_sweep_cell(config: RunConfig, graph: Graph, replicate: int) -> dict:
         evals=result.trace.n_evaluations,
         runtime_ms=round(result.runtime_ms, 3),
     )
-    return row
 
 
 def _run_pooled(tasks: list[tuple], workers: int) -> list[dict]:
@@ -384,7 +375,8 @@ def _run_pooled(tasks: list[tuple], workers: int) -> list[dict]:
     for i in [i for i, row in enumerate(rows) if row is None]:
         with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
             row = row_of(pool.submit(_run_sweep_cell, *tasks[i]))
-        rows[i] = row or _failed_row(_sweep_row(*tasks[i]), "worker process died")
+        config, _, replicate = tasks[i]
+        rows[i] = row or _sweep_row(config, replicate, "worker process died")
     return rows
 
 
@@ -425,12 +417,15 @@ def run_sweep(
     ]
     # An infeasible graph, a penalty too large for exact energies or a model
     # past the energy table's size fails the whole sweep, as it fails
-    # run_single, before any seed is derived.
-    for penalty in dict.fromkeys(config.resolve_penalty(g) for config in grid):
+    # run_single, before any seed is derived. Each cell then carries its
+    # resolved penalty, which its seed tag, its row's P and run_single read.
+    penalties = [config.resolve_penalty(g) for config in grid]
+    for penalty in dict.fromkeys(penalties):
         require_table_size(compile_tdp_qubo(g, penalty).n_vars)
+    grid = [replace(config, penalty=p, penalty_multiplier=None) for config, p in zip(grid, penalties)]
     tasks = []
     for config in grid:
-        p_tag = round(config.resolve_penalty(g) * 1e6)
+        p_tag = round(config.penalty * 1e6)
         for r in range(n_seeds):
             seed = derive_seed(base.seed, config.layers_q, p_tag, config.max_iterations, r)
             tasks.append((replace(config, seed=seed), g, r))
@@ -440,14 +435,10 @@ def run_sweep(
         rows = [_run_sweep_cell(*t) for t in tasks]
     rows.sort(key=lambda r: (r["q"], r["P"], r["maxiter"], r["seed"]))
 
-    cells: dict[tuple, list[dict]] = {}
-    for row in rows:
-        if row["error"]:
-            continue
-        cells.setdefault((row["q"], row["P"], row["maxiter"]), []).append(row)
-
     summaries = []
-    for (q, penalty, maxiter), cell in sorted(cells.items()):
+    finished = (row for row in rows if not row["error"])
+    for (q, penalty, maxiter), cell in itertools.groupby(finished, lambda r: (r["q"], r["P"], r["maxiter"])):
+        cell = list(cell)
         tds_rate = float(np.mean([r["is_tds"] for r in cell]))
         min_rate = float(np.mean([r["is_min_tds"] for r in cell]))
         summaries.append({

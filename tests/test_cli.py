@@ -418,6 +418,17 @@ class TestOutPath:
         assert (tmp_path / "file").read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "compile", "trace"])
+    def test_empty_out_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        forbid_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli_entry([command, "--out", ""]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "error: argument --out: the path must not be empty" in captured.err
+        assert f"usage: tds-qaoa {command}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_writes_into_an_existing_directory(self, edge_graph, tmp_path, capsys):
         argv = ["run", "--graph", edge_graph, "--q", "1", "--maxiter", "5", "--out", str(tmp_path)]
         assert cli_entry(argv) == EXIT_OK

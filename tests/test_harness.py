@@ -452,6 +452,13 @@ class _CountingSink:
         self.chars += len(text)
 
 
+# A sweep row's keys, in the order sweep.json writes them, whether its cell finished or failed.
+SWEEP_ROW_KEYS = [
+    "q", "P", "maxiter", "seed", "error", "z_star", "is_tds", "is_min_tds",
+    "correct_prob", "optimal_prob", "final_cost", "evals", "runtime_ms",
+]
+
+
 class TestRunSweep:
     def test_row_and_summary_counts(self, edge_graph_path):
         base = RunConfig(graph_source=edge_graph_path, seed=0, shots=1000)
@@ -502,6 +509,20 @@ class TestRunSweep:
         assert [row["error"] for row in result.rows] == ["", "RuntimeError: cell blew up at q=2"]
         assert result.rows[1]["P"] == 2.0
         assert [s["q"] for s in result.summaries] == [1]
+        assert [list(row) for row in result.rows] == [SWEEP_ROW_KEYS] * 2
+
+    def test_cells_carry_their_resolved_penalty(self, edge_graph_path, monkeypatch):
+        run_single = harness.run_single
+        configs = []
+
+        def recording_run_single(config, graph=None):
+            configs.append(config)
+            return run_single(config, graph=graph)
+
+        monkeypatch.setattr(harness, "run_single", recording_run_single)
+        base = RunConfig(graph_source=edge_graph_path, seed=0, shots=100)
+        run_sweep(base, layer_values=(1,), multiplier_values=(1.0, 1.5), maxiter_values=(5,), n_seeds=2)
+        assert [(c.penalty, c.penalty_multiplier) for c in configs] == [(2.0, None)] * 2 + [(3.0, None)] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_match_direct_run_single(self, paper6, workers):
@@ -634,6 +655,7 @@ class TestRunSweep:
         died = [row for row in pooled.rows if row["q"] == 2]
         assert [row["error"] for row in died] == ["worker process died"] * 2
         assert all(row["evals"] == 0 and row["z_star"] == "" for row in died)
+        assert [list(row) for row in died] == [SWEEP_ROW_KEYS] * 2
         kept = [row for row in serial.rows if row["q"] != 2]
         assert self._strip_timing([row for row in pooled.rows if row["q"] != 2]) == self._strip_timing(kept)
         assert [s["q"] for s in pooled.summaries] == [1, 3]
