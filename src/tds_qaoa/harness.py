@@ -392,12 +392,14 @@ def run_sweep(
 
     One row per (cell, replicate); one summary per cell aggregating over
     replicates. base.seed is the sweep-level seed from which every replicate
-    seed is derived. A bad file, an infeasible graph, a bad or repeated grid
+    seed is derived; the grid owns q, P and maxiter, so a base with penalty
+    set is refused. A bad file, an infeasible graph, a bad or repeated grid
     value, a penalty too large for exact energies, a model past the energy
     table's MAX_TABLE_BITS variables, or a bad n_seeds or workers raises
-    before any cell runs; a cell that fails while running, or whose worker
-    process dies twice (see _run_pooled), gets its error in the row's error
-    column and does not stop the sweep.
+    before any cell runs; the pre-flight is one compile, at the largest
+    penalty. A cell that fails while running, or whose worker process dies
+    twice (see _run_pooled), gets its error in the row's error column and
+    does not stop the sweep.
     """
     require_integer("n_seeds", n_seeds, 1)
     require_integer("workers", workers, 1)
@@ -410,19 +412,20 @@ def run_sweep(
             raise ValueError(f"{name} repeats a value: {list(values)}")
     g = load_graph(base.graph_source)
     grid = [
-        replace(base, layers_q=q, penalty=None, penalty_multiplier=m, max_iterations=it)
+        replace(base, layers_q=q, penalty_multiplier=m, max_iterations=it)
         for q in layer_values
         for m in multiplier_values
         for it in maxiter_values
     ]
-    # An infeasible graph, a penalty too large for exact energies or a model
-    # past the energy table's size fails the whole sweep, as it fails
-    # run_single, before any seed is derived. Each cell then carries its
+    # A base penalty has failed RunConfig's either/or rule above. Of the
+    # compile's checks only the 2^53 one depends on P, and it grows with P:
+    # one compile at the largest penalty fails the sweep, before any seed is
+    # derived, wherever run_single would fail. Each cell then carries its
     # resolved penalty, which its seed tag, its row's P and run_single read.
-    penalties = [config.resolve_penalty(g) for config in grid]
-    for penalty in dict.fromkeys(penalties):
-        require_table_size(compile_tdp_qubo(g, penalty).n_vars)
-    grid = [replace(config, penalty=p, penalty_multiplier=None) for config, p in zip(grid, penalties)]
+    if grid:
+        penalties = {m: replace(base, penalty_multiplier=m).resolve_penalty(g) for m in multiplier_values}
+        require_table_size(compile_tdp_qubo(g, max(penalties.values())).n_vars)
+        grid = [replace(c, penalty=penalties[c.penalty_multiplier], penalty_multiplier=None) for c in grid]
     tasks = []
     for config in grid:
         p_tag = round(config.penalty * 1e6)

@@ -36,8 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (
-    MAX_TABLE_BITS, Graph, InfeasibleGraphError, degree_partition, require_integer, require_real,
-    subset_sizes,
+    MAX_TABLE_BITS, Graph, InfeasibleGraphError, require_integer, require_real, subset_sizes,
 )
 
 
@@ -299,20 +298,13 @@ def qubit_upper_bound(g: Graph) -> float:
 def qubit_counts(g: Graph) -> tuple[int, int, int]:
     """Exact qubit counts (q_tdp, q_dp, gap) for the two domination encodings.
 
-    q_tdp = |V| + sum over deg >= 3 of (floor(log2(d - 1)) + 1);
-    q_dp  = |V| + 2|V2| + sum over deg >= 3 of (floor(log2(d)) + 1).
-    The plain domination encoding uses closed neighborhoods, so degree-2
-    vertices already need slack there and every high-degree slack is one
-    range step wider.
+    Each is |V| plus the slack qubits slack_coefficients lays out for every
+    constraint over 3 or more vertices, so q_tdp is the width that
+    compile_tdp_qubo gives. The plain domination encoding covers closed
+    neighbourhoods, d + 1 vertices for a degree-d vertex: degree-2 vertices
+    already need slack there and every high-degree slack is one range step wider.
     """
-    part = degree_partition(g)
     degrees = g.degrees()
-    # floor(log2(x)) + 1 == x.bit_length() for x >= 1
-    q_tdp = g.n_vertices + sum((degrees[v] - 1).bit_length() for v in part.v_ge3)
-    q_dp = (
-        g.n_vertices
-        + 2 * len(part.v2)
-        + sum(degrees[v].bit_length() for v in part.v_ge3)
-    )
+    q_tdp = g.n_vertices + sum(len(slack_coefficients(d)) for d in degrees if d >= 3)
+    q_dp = g.n_vertices + sum(len(slack_coefficients(d + 1)) for d in degrees if d >= 2)
     return q_tdp, q_dp, q_dp - q_tdp
-

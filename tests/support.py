@@ -252,6 +252,19 @@ def min_sets_reference(g: Graph, closed: bool = False) -> tuple[int, list[frozen
     raise InfeasibleGraphError("no valid set exists")
 
 
+def reference_qubit_counts(g: Graph) -> tuple[int, int, int]:
+    """(q_tdp, q_dp, gap) from the closed forms, with floor(log2(x)) + 1 as x.bit_length().
+
+    q_tdp = |V| + sum over deg >= 3 of (floor(log2(d - 1)) + 1);
+    q_dp  = |V| + 2|V2| + sum over deg >= 3 of (floor(log2(d)) + 1).
+    Independent of the slack layout the package reads.
+    """
+    degrees = g.degrees()
+    q_tdp = g.n_vertices + sum((d - 1).bit_length() for d in degrees if d >= 3)
+    q_dp = g.n_vertices + 2 * degrees.count(2) + sum(d.bit_length() for d in degrees if d >= 3)
+    return q_tdp, q_dp, q_dp - q_tdp
+
+
 def metrics_reference(probs: np.ndarray, g: Graph) -> tuple[float, float, str, bool, bool]:
     """(correct, optimal, z*, z* is TDS, z* is minimum TDS) by a per-string loop.
 

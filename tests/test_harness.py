@@ -590,10 +590,12 @@ class TestRunSweep:
         ("edge", {"workers": 2.5}, ValueError, "workers must be an integer, got 2.5"),
         # The edge graph's two constraints violate at most once each: 2 + P * 2 >= 2^53.
         ("edge", {"multiplier_values": (1.5, 1e303)}, ValueError, r"punishment coefficient 2e\+303 is too large"),
+        # The grid owns P: a base penalty fails RunConfig's either/or rule with each cell's multiplier.
+        ("edge", {"base": {"penalty": 5.0}}, ValueError, "give either penalty or penalty_multiplier, not both"),
     ], ids=[
         "missing-file", "q-0", "maxiter-0", "mult-0", "mult-nan", "seeds-0", "seeds-neg",
         "q-repeated", "mult-repeated", "maxiter-repeated", "workers-0", "workers-neg",
-        "seeds-float", "seeds-str", "seeds-bool", "workers-float", "mult-too-large",
+        "seeds-float", "seeds-str", "seeds-bool", "workers-float", "mult-too-large", "base-penalty",
     ])
     def test_bad_input_raises_before_any_cell(self, tmp_path, monkeypatch, source, options, error, match):
         def no_cell_may_run(*args, **kwargs):
@@ -607,9 +609,31 @@ class TestRunSweep:
             "layer_values": (1,), "multiplier_values": (1.5,), "maxiter_values": (5,),
             "n_seeds": 1, "workers": 1, **options,
         }
-        base = RunConfig(graph_source=str(path), seed=0, shots=100)
+        base = RunConfig(graph_source=str(path), seed=0, shots=100, **options.pop("base", {}))
         with pytest.raises(error, match=match):
             run_sweep(base, **options)
+
+    @pytest.mark.parametrize("layer_values, compiles", [((1,), 1), ((), 0)], ids=["two-multipliers", "empty"])
+    def test_preflight_is_one_compile(self, edge_graph_path, monkeypatch, layer_values, compiles):
+        # Compiled at the largest penalty, once, before any cell; an empty grid compiles nothing.
+        compile_tdp_qubo = harness.compile_tdp_qubo
+        penalties, seen_by_cells = [], []
+
+        def counting_compile(g, p):
+            penalties.append(p)
+            return compile_tdp_qubo(g, p)
+
+        def no_run(config, graph=None):
+            seen_by_cells.append(len(penalties))
+            raise RuntimeError("cells are not run here")
+
+        monkeypatch.setattr(harness, "compile_tdp_qubo", counting_compile)
+        monkeypatch.setattr(harness, "run_single", no_run)
+        base = RunConfig(graph_source=edge_graph_path, shots=100)
+        result = run_sweep(base, layer_values=layer_values, multiplier_values=(1.5, 1.0), maxiter_values=(3,))
+        assert penalties == [3.0] * compiles
+        assert seen_by_cells == [1, 1] * compiles
+        assert [row["P"] for row in result.rows] == [2.0, 3.0] * compiles
 
     def test_model_past_the_table_size_raises_before_any_cell(self, tmp_path, monkeypatch):
         # C_25 compiles to 25 variables at every penalty; run_single refuses it with this message.

@@ -28,6 +28,7 @@ from support import (
     random_graph,
     random_graph_min_degree,
     reference_paper6_qubo,
+    reference_qubit_counts,
 )
 
 
@@ -223,6 +224,20 @@ class TestQubitCounts:
     def test_perfect_matching(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert qubit_counts(g) == (4, 4, 0)
+
+    def test_counts_match_the_compile_and_the_closed_forms(self):
+        # Every size and density, isolated and degree-1 vertices included;
+        # only graphs without an isolated vertex compile.
+        rng = np.random.default_rng(26)
+        compiled = 0
+        for _ in range(400):
+            g = random_graph(rng, int(rng.integers(0, 16)), edge_prob=float(rng.random()))
+            counts = qubit_counts(g)
+            assert counts == reference_qubit_counts(g)
+            if g.n_vertices and min(g.degrees()) > 0:
+                assert counts[0] == compile_tdp_qubo(g, 1.0).n_vars
+                compiled += 1
+        assert compiled >= 100
 
     def test_paper6_upper_bound(self):
         bound = qubit_upper_bound(builtin_instance())
