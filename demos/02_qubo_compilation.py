@@ -8,6 +8,8 @@ variables so the inequality becomes a squared equality.
 
 import json
 
+import numpy as np
+
 from tds_qaoa import (
     bits_to_index, build_energy_table, builtin_instance, compile_tdp_qubo, index_to_bits,
     slack_coefficients,
@@ -36,8 +38,9 @@ table = build_energy_table(model)
 print(f"\nvalue at all-zeros: {table.energies[0]} (= 6P)")
 print(f"value at 1000110000 (vertices {{0,4,5}}): {table.energies[bits_to_index('1000110000')]}")
 
-argmins = [index_to_bits(k, model.n_vars) for k in table.argmin_indices()]
-print(f"\nexhaustive minimum over 2^{model.n_vars} assignments: {table.minimum()}")
+minimum = table.energies.min()
+argmins = [index_to_bits(k, model.n_vars) for k in np.flatnonzero(table.energies == minimum)]
+print(f"\nexhaustive minimum over 2^{model.n_vars} assignments: {minimum}")
 print(f"{len(argmins)} optimal assignments; distinct vertex projections:")
 for proj in sorted({tuple(i for i in range(6) if x[i] == "1") for x in argmins}):
     print(f"  {proj}")

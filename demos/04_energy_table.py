@@ -27,7 +27,7 @@ for bits in ("1000110000", "0000000000", "1111111111"):
     print(f"  E(|{bits}>) = {table.energies[bits_to_index(bits)]:7.1f}")
 
 print("\nground states (energy 3):")
-for k in table.argmin_indices():
+for k in np.flatnonzero(table.energies == table.energies.min()):
     bits = index_to_bits(k, table.n_vars)
     print(f"  |{bits}>  vertices {bits[:6]}, slacks {bits[6:]}")
 

@@ -97,9 +97,6 @@ class RunConfig:
         multiplier = 1.5 if self.penalty_multiplier is None else self.penalty_multiplier
         return float(multiplier) * g.n_vertices
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -161,7 +158,7 @@ class RunResult:
 
     def to_dict(self) -> dict:
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "penalty": self.penalty,
             "optimized_schedule": {
                 "gammas": list(self.optimized_schedule.gammas),
@@ -313,9 +310,6 @@ class SweepResult:
     n_cells_tds: int
     n_cells_min_tds: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _dicts_to_csv(rows: list[dict], fields: tuple[str, ...]) -> str:
     out = io.StringIO()
@@ -411,27 +405,24 @@ def run_sweep(
         if len(set(values)) != len(values):
             raise ValueError(f"{name} repeats a value: {list(values)}")
     g = load_graph(base.graph_source)
-    grid = [
-        replace(base, layers_q=q, penalty_multiplier=m, max_iterations=it)
-        for q in layer_values
-        for m in multiplier_values
-        for it in maxiter_values
-    ]
-    # A base penalty has failed RunConfig's either/or rule above. Of the
-    # compile's checks only the 2^53 one depends on P, and it grows with P:
-    # one compile at the largest penalty fails the sweep, before any seed is
-    # derived, wherever run_single would fail. Each cell then carries its
-    # resolved penalty, which its seed tag, its row's P and run_single read.
-    if grid:
-        penalties = {m: replace(base, penalty_multiplier=m).resolve_penalty(g) for m in multiplier_values}
+    # A base penalty fails RunConfig's either/or rule here. Of the compile's
+    # checks only the 2^53 one depends on P, and it grows with P: one compile
+    # at the largest penalty fails the sweep wherever run_single would. It runs
+    # unless the grid is empty, and before any cell is built, since an empty
+    # graph's P = 0 would fail RunConfig first. Each cell carries its resolved
+    # penalty, which its seed tag, its row's P and run_single read.
+    penalties = {m: replace(base, penalty_multiplier=m).resolve_penalty(g) for m in multiplier_values}
+    if len(layer_values) * len(penalties) * len(maxiter_values):
         require_table_size(compile_tdp_qubo(g, max(penalties.values())).n_vars)
-        grid = [replace(c, penalty=penalties[c.penalty_multiplier], penalty_multiplier=None) for c in grid]
-    tasks = []
-    for config in grid:
-        p_tag = round(config.penalty * 1e6)
-        for r in range(n_seeds):
-            seed = derive_seed(base.seed, config.layers_q, p_tag, config.max_iterations, r)
-            tasks.append((replace(config, seed=seed), g, r))
+    cells = [
+        replace(base, layers_q=q, penalty=penalties[m], penalty_multiplier=None, max_iterations=it)
+        for q, m, it in itertools.product(layer_values, multiplier_values, maxiter_values)
+    ]
+    tasks = [
+        (replace(c, seed=derive_seed(base.seed, c.layers_q, round(c.penalty * 1e6), c.max_iterations, r)), g, r)
+        for c in cells
+        for r in range(n_seeds)
+    ]
     if workers > 1 and len(tasks) > 1:
         rows = _run_pooled(tasks, workers)
     else:
@@ -459,7 +450,7 @@ def run_sweep(
     return SweepResult(
         rows=rows,
         summaries=summaries,
-        n_cells=len(grid),
+        n_cells=len(cells),
         n_cells_tds=sum(s["cell_is_tds"] for s in summaries),
         n_cells_min_tds=sum(s["cell_is_min_tds"] for s in summaries),
     )
@@ -481,4 +472,4 @@ def write_sweep_outputs(result: SweepResult, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "rows.csv").write_text(_dicts_to_csv(result.rows, ROW_FIELDS))
     (out / "summary.csv").write_text(_dicts_to_csv(result.summaries, SUMMARY_FIELDS))
-    (out / "sweep.json").write_text(json.dumps(result.to_dict(), indent=2) + "\n")
+    (out / "sweep.json").write_text(json.dumps(asdict(result), indent=2) + "\n")

@@ -198,6 +198,7 @@ def default_ramp_scales(layers_q: int, penalty: float) -> tuple[float, float]:
 
     Explicit scales always override these defaults; see _RAMP_DEFAULTS.
     """
+    require_integer("layers_q", layers_q, 1)
     require_real("penalty", penalty, positive=True)
     for limit, target, beta_scale in _RAMP_DEFAULTS:
         if layers_q <= limit:

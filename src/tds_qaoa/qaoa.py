@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import MAX_COUNT, require_integer, require_real, subset_sizes
+from .graphs import MAX_COUNT, MAX_TABLE_BITS, require_integer, require_real, subset_sizes
 from .qubo import EnergyTable
 
 # Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
@@ -55,10 +55,15 @@ _QUARTER_TURNS.setflags(write=False)
 
 @dataclass(eq=False)
 class StateVector:
-    """2^n_qubits complex amplitudes over computational basis states."""
+    """2^n_qubits complex amplitudes over computational basis states; checked when built, not copied."""
 
     n_qubits: int
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        n = require_integer("n_qubits", self.n_qubits, 1, MAX_TABLE_BITS)
+        if np.shape(self.amplitudes) != (1 << n,):
+            raise ValueError(f"state of {n} qubits has amplitudes of shape {np.shape(self.amplitudes)}")
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -319,11 +324,18 @@ def expectation(state: StateVector, table: EnergyTable) -> float:
 def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Multinomial measurement of basis-state probabilities: dense counts, total = shots.
 
-    probs is normalized here. seed is an int or a numpy Generator, which is
-    drawn from as is; a fixed int seed gives fixed counts.
+    probs, a 1-D array of non-negative reals with a positive finite total, is
+    normalized here by that total. seed is an int or a numpy Generator, which
+    is drawn from as is; a fixed int seed gives fixed counts.
     """
     require_integer("shots", shots, 1, MAX_COUNT)
-    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    probs = np.asarray(probs)
+    if probs.ndim != 1 or probs.dtype.kind not in "iuf":
+        raise ValueError(f"probs must be a 1-D array of reals, got shape {probs.shape} of {probs.dtype}")
+    total = probs.sum()
+    if not (0 < total < math.inf and probs.min() >= 0):
+        raise ValueError(f"probs must be non-negative with a positive finite total, got total {total}")
+    return np.random.default_rng(seed).multinomial(shots, probs / total)
 
 
 def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:

@@ -225,12 +225,6 @@ class EnergyTable:
         object.__setattr__(self, "n_vars", n)
         object.__setattr__(self, "energies", energies)
 
-    def minimum(self) -> float:
-        return float(self.energies.min())
-
-    def argmin_indices(self) -> list[int]:
-        return [int(k) for k in np.flatnonzero(self.energies == self.energies.min())]
-
     @cached_property
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct energies, sorted, and the index of each entry's energy among them.

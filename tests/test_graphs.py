@@ -59,6 +59,22 @@ class TestConstruction:
             Graph(3, [edge, (1, 2)])
 
 
+class TestValueSemantics:
+    def test_repr_round_trips(self, paper6):
+        assert eval(repr(paper6), {"Graph": Graph}) == paper6
+        assert repr(Graph(3, [(2, 1), (1, 0)])) == "Graph(n_vertices=3, edges=[(0, 1), (1, 2)])"
+
+    def test_equal_graphs_hash_equal(self):
+        a, b = Graph(3, [(1, 0), (2, 1)]), Graph(3, [(1, 2), (0, 1)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert Graph(4, [(1, 0), (2, 1)]) not in {a}
+
+    def test_comparison_with_another_type(self):
+        assert Graph(2, []).__eq__("x") is NotImplemented
+        assert (Graph(2, []) == "x") is False
+
+
 class TestNeighbors:
     def test_paper6_vertex_2(self, paper6):
         assert paper6.neighbors(2) == {1, 3, 4}

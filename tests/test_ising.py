@@ -131,8 +131,8 @@ class TestEnergyTable:
         m = compile_tdp_qubo(builtin_instance(), 9.0)
         table = build_energy_table(m)
         best, argmins = qubo_min_bruteforce(m)
-        assert table.minimum() == best == 3.0
-        assert table.argmin_indices() == sorted(bits_to_index(x) for x in argmins)
+        assert table.energies.min() == best == 3.0
+        assert np.flatnonzero(table.energies == best).tolist() == sorted(bits_to_index(x) for x in argmins)
 
     def test_table_matches_per_state_evaluation(self):
         rng = np.random.default_rng(23)

@@ -57,6 +57,17 @@ class TestInitialAngles:
         with pytest.raises(ValueError):
             default_ramp_scales(5, 0.0)
 
+    @pytest.mark.parametrize("q, match", [
+        (0, "layers_q must be at least 1, got 0"),
+        (-2, "layers_q must be at least 1, got -2"),
+        (2.5, "layers_q must be an integer, got 2.5"),
+        (True, "layers_q must be an integer, got True"),
+        ("a", "layers_q must be an integer, got 'a'"),
+    ], ids=["zero", "negative", "float", "bool", "string"])
+    def test_default_scales_reject_bad_layer_count(self, q, match):
+        with pytest.raises(ValueError, match=match):
+            default_ramp_scales(q, 9.0)
+
     @pytest.mark.parametrize("q, beta_scale", [(14, 1.9), (15, 1.6), (40, 1.6)])
     def test_default_scales_past_the_calibrated_table(self, q, beta_scale):
         """Past 14 layers the deep defaults hold: target 2.1, snapped to 2 pi k / P."""

@@ -433,6 +433,25 @@ class TestExpectation:
             assert expectation(evolve(table, schedule), table) >= 3.0
 
 
+class TestStateVector:
+    @pytest.mark.parametrize("n, amplitudes, match", [
+        (10, np.ones(8), re.escape("state of 10 qubits has amplitudes of shape (8,)")),
+        (2, np.ones((2, 2)), re.escape("state of 2 qubits has amplitudes of shape (2, 2)")),
+        (1, np.ones(()), re.escape("state of 1 qubits has amplitudes of shape ()")),
+        (0, np.ones(1), "n_qubits must be at least 1, got 0"),
+        (25, np.ones(2), "n_qubits must be at most 24, got 25"),
+        (1.0, np.ones(2), "n_qubits must be an integer, got 1.0"),
+        (True, np.ones(2), "n_qubits must be an integer, got True"),
+    ], ids=["short", "2-D", "0-D", "0-qubits", "25-qubits", "float", "bool"])
+    def test_malformed_state_rejected(self, n, amplitudes, match):
+        with pytest.raises(ValueError, match=match):
+            StateVector(n, amplitudes)
+
+    def test_amplitudes_kept_as_given(self):
+        amplitudes = np.zeros(4, dtype=complex)
+        assert StateVector(2, amplitudes).amplitudes is amplitudes
+
+
 class TestSample:
     def test_point_distribution(self):
         probs = np.zeros(8)
@@ -476,6 +495,21 @@ class TestSample:
         assert np.array_equal(sample(probs, 1000, seed=9), expected)
         # Doubling is exact, so the normalized array and the draw are unchanged.
         assert np.array_equal(sample(2 * probs, 1000, seed=9), expected)
+        assert np.array_equal(sample(probs.tolist(), 1000, seed=9), expected)
+
+    @pytest.mark.parametrize("probs, match", [
+        (np.zeros(4), "probs must be non-negative with a positive finite total, got total 0.0"),
+        (np.zeros(0), "probs must be non-negative with a positive finite total, got total 0.0"),
+        (np.array([0.5, np.nan]), "probs must be non-negative with a positive finite total, got total nan"),
+        (np.array([0.5, np.inf]), "probs must be non-negative with a positive finite total, got total inf"),
+        (np.array([0.5, -0.25, 0.75]), "probs must be non-negative with a positive finite total, got total 1.0"),
+        (np.ones((2, 2)) / 4, re.escape("probs must be a 1-D array of reals, got shape (2, 2) of float64")),
+        (np.full(2, 0.5 + 0j), re.escape("probs must be a 1-D array of reals, got shape (2,) of complex128")),
+        (["a", "b"], re.escape("probs must be a 1-D array of reals, got shape (2,) of <U1")),
+    ], ids=["zeros", "empty", "nan", "inf", "negative", "2-D", "complex", "strings"])
+    def test_malformed_distribution_rejected(self, probs, match):
+        with pytest.raises(ValueError, match=match):
+            sample(probs, 10, seed=0)
 
     def test_generator_seed_is_drawn_from_as_is(self):
         probs = np.random.default_rng(6).random(32)
