@@ -91,21 +91,19 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v), excluding v itself."""
-        self._check_vertex(v)
-        return self._adjacency[v]
+        return self._adjacency[self._check_vertex(v)]
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self._adjacency)
 
-    def _check_vertex(self, v: int) -> None:
+    def _check_vertex(self, v: int) -> int:
+        v = require_integer("vertex", v)
         if not (0 <= v < self.n_vertices):
             raise ValueError(f"vertex {v} out of range [0, {self.n_vertices})")
+        return v
 
     def _check_subset(self, d: Iterable[int]) -> frozenset[int]:
-        d = frozenset(d)
-        for v in d:
-            self._check_vertex(v)
-        return d
+        return frozenset(map(self._check_vertex, d))
 
     def __repr__(self) -> str:
         return f"Graph(n_vertices={self.n_vertices}, edges={list(self.edges)})"

@@ -98,15 +98,6 @@ class RunConfig:
         return float(multiplier) * g.n_vertices
 
 
-@dataclass(frozen=True)
-class Metrics:
-    correct_probability: float
-    optimal_probability: float
-    z_star: str
-    z_star_is_tds: bool
-    z_star_is_minimal_tds: bool
-
-
 @dataclass(eq=False)
 class RunResult:
     """Everything produced by one run; see to_dict for the JSON view.
@@ -160,10 +151,7 @@ class RunResult:
         return {
             "config": asdict(self.config),
             "penalty": self.penalty,
-            "optimized_schedule": {
-                "gammas": list(self.optimized_schedule.gammas),
-                "betas": list(self.optimized_schedule.betas),
-            },
+            "optimized_schedule": asdict(self.optimized_schedule),
             "cost_trace": {
                 "final_cost": self.trace.best_value,
                 "evaluations": self.trace.n_evaluations,
@@ -207,11 +195,12 @@ def _descending(probs: np.ndarray) -> np.ndarray:
     return np.argsort(-probs, kind="stable")
 
 
-def compute_metrics(dist: np.ndarray, g: Graph) -> Metrics:
+def compute_metrics(dist: np.ndarray, g: Graph) -> dict:
     """Score a normalized vertex distribution against the exact subset table.
 
     dist is a dense array over the 2^|V| vertex subsets, indexed like bit
-    strings (vertex 0 is the most significant bit).
+    strings (vertex 0 is the most significant bit). Returns RunResult's five
+    scored fields, by name.
     """
     probs = np.asarray(dist, dtype=np.float64)
     size = 1 << g.n_vertices
@@ -225,12 +214,12 @@ def compute_metrics(dist: np.ndarray, g: Graph) -> Metrics:
     valid, sizes = subset_table(g)
     _, optimal = optimal_subsets(valid, sizes)
     z_star = int(np.argmax(probs))  # first index on ties: the smallest bit string
-    return Metrics(
-        correct_probability=float(probs[valid].sum()),
-        optimal_probability=float(probs[optimal].sum()),
+    return dict(
         z_star=index_to_bits(z_star, g.n_vertices),
         z_star_is_tds=bool(valid[z_star]),
         z_star_is_minimal_tds=bool(optimal[z_star]),
+        correct_probability=float(probs[valid].sum()),
+        optimal_probability=float(probs[optimal].sum()),
     )
 
 
@@ -288,14 +277,13 @@ def run_single(config: RunConfig, graph: Graph | None = None) -> RunResult:
     )
     del probs
     scored = exact if config.exact_metrics else counts / counts.sum()
-    metrics = compute_metrics(scored, g)
-
+    # Keyword arguments run in order: scoring stays inside runtime_ms.
     return RunResult(
         config=config,
         penalty=penalty,
         optimized_schedule=best_schedule,
         trace=trace,
-        **asdict(metrics),
+        **compute_metrics(scored, g),
         exact_probabilities=exact,
         vertex_counts=counts,
         runtime_ms=(time.perf_counter() - start) * 1e3,

@@ -49,6 +49,8 @@ class OptimizerConfig:
         require_integer("max_iterations", self.max_iterations, 1)
         require_integer("seed", self.seed)
         require_real("function_tolerance", self.function_tolerance, positive=True)
+        if len(self.bounds) == 0:
+            raise ValueError("bounds must hold at least one interval")
         for interval in self.bounds:
             # A bool or a string is no bound; NaN and inf make the interval unusable, as lo > hi does.
             lo, hi = (

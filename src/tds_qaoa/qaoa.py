@@ -325,10 +325,12 @@ def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Multinomial measurement of basis-state probabilities: dense counts, total = shots.
 
     probs, a 1-D array of non-negative reals with a positive finite total, is
-    normalized here by that total. seed is an int or a numpy Generator, which
-    is drawn from as is; a fixed int seed gives fixed counts.
+    normalized here by that total. seed is a non-negative int or a numpy
+    Generator, which is drawn from as is; a fixed int seed gives fixed counts.
     """
     require_integer("shots", shots, 1, MAX_COUNT)
+    if not isinstance(seed, np.random.Generator):
+        seed = require_integer("seed", seed, 0)
     probs = np.asarray(probs)
     if probs.ndim != 1 or probs.dtype.kind not in "iuf":
         raise ValueError(f"probs must be a 1-D array of reals, got shape {probs.shape} of {probs.dtype}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -87,14 +87,7 @@ class QuboModel:
             "quadratic": [[i, j, c] for (i, j), c in sorted(self.quadratic.items())],
             "penalty": self.penalty,
             "n_vertex_vars": self.registry.n_vertex_vars,
-            "slack_groups": [
-                {
-                    "vertex": g.vertex,
-                    "indices": list(g.indices),
-                    "coefficients": list(g.coefficients),
-                }
-                for g in self.registry.slack_groups
-            ],
+            "slack_groups": [asdict(g) for g in self.registry.slack_groups],
         }
 
 

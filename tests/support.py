@@ -624,15 +624,14 @@ def _without_runtime(name: str, data: bytes) -> bytes:
     return data
 
 
-def golden_digests(workdir: pathlib.Path) -> dict[str, str]:
-    """SHA-256 of every output file of golden_commands, keyed "<command>/<file>".
+def run_golden_commands(workdir: pathlib.Path) -> None:
+    """Run every command of golden_commands, writing its outputs to workdir/<command>.
 
     Runs each command in this process, with workdir as the working
     directory, so that no absolute path reaches result.json.
     """
     graph_text, cycle14_seed = cycle14_inputs()
     pathlib.Path(workdir, "cycle14.txt").write_text(graph_text)
-    digests = {}
     previous = os.getcwd()
     os.chdir(workdir)
     try:
@@ -641,12 +640,16 @@ def golden_digests(workdir: pathlib.Path) -> dict[str, str]:
                 status = cli.cli_entry([*argv, "--out", name])
             if status != 0:
                 raise RuntimeError(f"{name} exited with {status}: {argv}")
-            for path in sorted(pathlib.Path(name).iterdir()):
-                data = _without_runtime(path.name, path.read_bytes())
-                digests[f"{name}/{path.name}"] = hashlib.sha256(data).hexdigest()
     finally:
         os.chdir(previous)
-    return digests
+
+
+def golden_digests(workdir: pathlib.Path) -> dict[str, str]:
+    """SHA-256 of every output file that run_golden_commands wrote to workdir, keyed "<command>/<file>"."""
+    return {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(_without_runtime(path.name, path.read_bytes())).hexdigest()
+        for path in sorted(pathlib.Path(workdir).glob("*/*"))
+    }
 
 
 def write_golden_outputs(path: pathlib.Path = GOLDEN_OUTPUTS) -> None:
@@ -659,5 +662,116 @@ def write_golden_outputs(path: pathlib.Path = GOLDEN_OUTPUTS) -> None:
     """
     hosts = json.loads(path.read_text())["hosts"] if path.exists() else {}
     with tempfile.TemporaryDirectory() as workdir:
+        run_golden_commands(pathlib.Path(workdir))
         hosts[host_fingerprint()] = golden_digests(pathlib.Path(workdir))
     path.write_text(json.dumps({"hosts": dict(sorted(hosts.items()))}, indent=2) + "\n")
+
+
+GOLDEN_VALUES = pathlib.Path(__file__).with_name("golden_values.json")
+# Seeded floats agree across hosts to a few ULP; a real defect moves them far more.
+GOLDEN_RTOL = 1e-9
+
+# The sweep's rows.csv columns that golden_values.json records, with their types.
+# z_star is left out: float rounding picks among tied strings, whose flags agree.
+_GOLDEN_ROW_TYPES = {
+    "q": int, "P": float, "maxiter": int, "seed": int, "is_tds": "True".__eq__,
+    "is_min_tds": "True".__eq__, "correct_prob": float, "optimal_prob": float,
+    "final_cost": float, "evals": int, "error": str,
+}
+
+
+def _tie_groups(scored: dict[str, float], floor: float) -> list[list[str]]:
+    """The strings scored at least floor, by descending score, in groups of scores within GOLDEN_RTOL.
+
+    A group is cut where a score lies more than GOLDEN_RTOL below the one
+    before it; each group is sorted, so the ranks that rounding splits
+    inside it are not kept.
+    """
+    ranked = sorted(((p, bits) for bits, p in scored.items() if p >= floor * (1 - GOLDEN_RTOL)), reverse=True)
+    groups: list[list[str]] = []
+    last = math.inf
+    for p, bits in ranked:
+        if not math.isclose(p, last, rel_tol=GOLDEN_RTOL):
+            groups.append([])
+        groups[-1].append(bits)
+        last = p
+    return [sorted(group) for group in groups]
+
+
+def _run_values(out: pathlib.Path) -> dict:
+    """The recorded values of one run's outputs: see golden_values."""
+    result = json.loads((out / "result.json").read_text())
+    column = "probability" if result["config"]["exact_metrics"] else "count"
+    with open(out / "distribution.csv", newline="") as fh:
+        scored = {row["bits"]: float(row[column]) for row in csv.DictReader(fh)}
+    groups = _tie_groups(scored, min(scored[bits] for bits, _ in result["top_k"]))
+    return {
+        "evaluations": result["cost_trace"]["evaluations"],
+        "termination_reason": result["cost_trace"]["termination_reason"],
+        "z_star_is_tds": result["z_star_is_tds"],
+        "z_star_is_minimal_tds": result["z_star_is_minimal_tds"],
+        "optimized_schedule": result["optimized_schedule"],
+        "final_cost": result["cost_trace"]["final_cost"],
+        "correct_probability": result["correct_probability"],
+        "optimal_probability": result["optimal_probability"],
+        "top_k_probabilities": [p for _, p in result["top_k"]],
+        "z_star": next((group for group in groups if result["z_star"] in group), [result["z_star"]]),
+        "top_k_groups": groups,
+    }
+
+
+def golden_values(workdir: pathlib.Path) -> dict[str, dict]:
+    """The seeded values of the outputs that run_golden_commands wrote to workdir, by command.
+
+    A run keeps its flags, evaluation count and stop reason as they are, and
+    its best point, final cost, correct and optimal probabilities and top_k
+    probabilities as floats, which first_difference compares at GOLDEN_RTOL.
+    z_star and the top_k bit strings are kept as _tie_groups, over the
+    scored distribution (exact probabilities, or shot counts when sampled):
+    z_star as the group that holds it, top_k as every group down to its
+    last score. The sweep keeps the _GOLDEN_ROW_TYPES columns of each row.
+    """
+    values = {}
+    for out in sorted(path for path in pathlib.Path(workdir).iterdir() if path.is_dir()):
+        if (out / "rows.csv").exists():
+            with open(out / "rows.csv", newline="") as fh:
+                values[out.name] = {"rows": [
+                    {name: convert(row[name]) if row[name] else None for name, convert in _GOLDEN_ROW_TYPES.items()}
+                    for row in csv.DictReader(fh)
+                ]}
+        else:
+            values[out.name] = _run_values(out)
+    return values
+
+
+def first_difference(recorded, measured, path: str = "") -> str | None:
+    """Where measured first departs from recorded, or None.
+
+    Floats agree within GOLDEN_RTOL; every other value, and every key and
+    length, must be equal and of the same type. The path names the command
+    and the field, as in "cycle14.top_k_groups[2]".
+    """
+    if isinstance(recorded, dict) and isinstance(measured, dict) and list(recorded) == list(measured):
+        items = [(recorded[k], measured[k], f"{path}.{k}" if path else k) for k in recorded]
+    elif isinstance(recorded, list) and isinstance(measured, list) and len(recorded) == len(measured):
+        items = [(r, m, f"{path}[{i}]") for i, (r, m) in enumerate(zip(recorded, measured))]
+    elif type(recorded) is float and type(measured) is float:
+        same = math.isclose(recorded, measured, rel_tol=GOLDEN_RTOL)
+        return None if same else f"{path}: recorded {recorded!r}, measured {measured!r}"
+    else:
+        same = type(recorded) is type(measured) and recorded == measured
+        return None if same else f"{path}: recorded {recorded!r}, measured {measured!r}"
+    return next(filter(None, (first_difference(*item) for item in items)), None)
+
+
+def write_golden_values(path: pathlib.Path = GOLDEN_VALUES) -> None:
+    """Record the golden commands' values in golden_values.json, for every host.
+
+    Run it from the repository root as
+    `PYTHONPATH=src:tests python -c "import support; support.write_golden_values()"`.
+    A change that alters seeded values on purpose rewrites the file.
+    """
+    with tempfile.TemporaryDirectory() as workdir:
+        run_golden_commands(pathlib.Path(workdir))
+        values = golden_values(pathlib.Path(workdir))
+    path.write_text(json.dumps(values, indent=2) + "\n")

@@ -201,8 +201,8 @@ def test_criterion_8_metric_consistency():
         sampled = compute_metrics(result.vertex_counts / result.vertex_counts.sum(), graph)
         worst = max(
             worst,
-            abs(exact.correct_probability - sampled.correct_probability),
-            abs(exact.optimal_probability - sampled.optimal_probability),
+            abs(exact["correct_probability"] - sampled["correct_probability"]),
+            abs(exact["optimal_probability"] - sampled["optimal_probability"]),
         )
     report(8, worst <= 0.01, f"worst exact-vs-sampled metric gap {worst:.5f} over "
                              f"{len(configs)} fixed-seed runs (need <= 0.01)")

@@ -114,6 +114,16 @@ class TestValidity:
         with pytest.raises(ValueError):
             is_total_dominating_set(paper6, {0, 9})
 
+    @pytest.mark.parametrize("check, vertices, bad", [
+        (is_total_dominating_set, [1.5, 2, 4, 5], 1.5),
+        (is_total_dominating_set, [True, 2, 3], True),
+        (is_dominating_set, ["2", 5], "2"),
+        (lambda g, v: g.neighbors(v), 1.5, 1.5),
+    ], ids=["float-member", "bool-member", "str-member", "float-neighbors"])
+    def test_vertex_must_be_an_integer(self, paper6, check, vertices, bad):
+        with pytest.raises(ValueError, match=re.escape(f"vertex must be an integer, got {bad!r}")):
+            check(paper6, vertices)
+
 
 class TestBruteforceOracles:
     def test_paper6_minimum_tds(self, paper6):

@@ -3,7 +3,7 @@ import json
 import multiprocessing
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from tds_qaoa import (
     EnergyTable,
     Graph,
     InfeasibleGraphError,
-    Metrics,
     OptimizationTrace,
     OptimizerConfig,
     RunConfig,
@@ -77,16 +76,16 @@ def uniform_dist(n_vertex):
 class TestComputeMetrics:
     def test_point_mass_on_minimal_tds(self, paper6):
         met = compute_metrics(point_mass("100011"), paper6)
-        assert met.correct_probability == pytest.approx(1.0)
-        assert met.optimal_probability == pytest.approx(1.0)
-        assert met.z_star == "100011"
-        assert met.z_star_is_tds and met.z_star_is_minimal_tds
+        assert met["correct_probability"] == pytest.approx(1.0)
+        assert met["optimal_probability"] == pytest.approx(1.0)
+        assert met["z_star"] == "100011"
+        assert met["z_star_is_tds"] and met["z_star_is_minimal_tds"]
 
     def test_point_mass_on_full_set(self, paper6):
         met = compute_metrics(point_mass("111111"), paper6)
-        assert met.correct_probability == pytest.approx(1.0)
-        assert met.optimal_probability == pytest.approx(0.0)
-        assert met.z_star_is_tds and not met.z_star_is_minimal_tds
+        assert met["correct_probability"] == pytest.approx(1.0)
+        assert met["optimal_probability"] == pytest.approx(0.0)
+        assert met["z_star_is_tds"] and not met["z_star_is_minimal_tds"]
 
     def test_uniform_distribution_counts_tds_strings(self, paper6):
         n_tds = sum(
@@ -94,12 +93,12 @@ class TestComputeMetrics:
             for v in range(64)
         )
         met = compute_metrics(uniform_dist(6), paper6)
-        assert met.correct_probability == pytest.approx(n_tds / 64)
-        assert met.optimal_probability == pytest.approx(len(PAPER6_MIN_TDS) / 64)
+        assert met["correct_probability"] == pytest.approx(n_tds / 64)
+        assert met["optimal_probability"] == pytest.approx(len(PAPER6_MIN_TDS) / 64)
 
     def test_z_star_tie_break_lexicographic(self, paper6):
         met = compute_metrics(uniform_dist(6), paper6)
-        assert met.z_star == "000000"
+        assert met["z_star"] == "000000"
 
     def test_unnormalized_rejected(self, paper6):
         with pytest.raises(ValueError, match="normalized"):
@@ -117,8 +116,18 @@ class TestComputeMetrics:
     def test_dense_array_input(self, paper6):
         probs = np.zeros(64)
         probs[0b100011] = 1.0
-        expected = Metrics(1.0, 1.0, "100011", True, True)
+        expected = dict(
+            z_star="100011", z_star_is_tds=True, z_star_is_minimal_tds=True,
+            correct_probability=1.0, optimal_probability=1.0,
+        )
         assert compute_metrics(probs, paper6) == compute_metrics(probs.tolist(), paper6) == expected
+
+    def test_keys_are_run_results_scored_fields(self, paper6):
+        scored = ["z_star", "z_star_is_tds", "z_star_is_minimal_tds", "correct_probability", "optimal_probability"]
+        names = [f.name for f in fields(RunResult)]
+        start = names.index("z_star")
+        assert names[start:start + 5] == scored
+        assert list(compute_metrics(uniform_dist(6), paper6)) == scored
 
     @pytest.mark.parametrize("dist", [np.ones(32) / 32, np.ones(128) / 128, np.ones((8, 8)) / 64, np.array(1.0)])
     def test_wrong_shape_rejected(self, paper6, dist):
@@ -143,9 +152,9 @@ class TestComputeMetrics:
                     continue
                 met = compute_metrics(probs, g)
                 correct, optimal, z_star, z_tds, z_min = metrics_reference(probs, g)
-                assert (met.z_star, met.z_star_is_tds, met.z_star_is_minimal_tds) == (z_star, z_tds, z_min)
-                assert abs(met.correct_probability - correct) <= 1e-12
-                assert abs(met.optimal_probability - optimal) <= 1e-12
+                assert (met["z_star"], met["z_star_is_tds"], met["z_star_is_minimal_tds"]) == (z_star, z_tds, z_min)
+                assert abs(met["correct_probability"] - correct) <= 1e-12
+                assert abs(met["optimal_probability"] - optimal) <= 1e-12
 
 
 class TestRunSingle:

@@ -241,6 +241,11 @@ class TestMinimize:
         with pytest.raises(ValueError, match="empty or not finite"):
             OptimizerConfig(5, ((0.0, 1.0), bound))
 
+    @pytest.mark.parametrize("bounds", [(), [], np.zeros((0, 2))])
+    def test_empty_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="bounds must hold at least one interval"):
+            OptimizerConfig(5, bounds)
+
     @pytest.mark.parametrize("end", [True, np.True_, "0"])
     @pytest.mark.parametrize("side", [0, 1])
     def test_bound_that_is_no_real_rejected(self, end, side):

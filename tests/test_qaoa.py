@@ -489,6 +489,15 @@ class TestSample:
         with pytest.raises(ValueError, match="shots must be an integer"):
             sample(uniform_state(2).probabilities(), shots, seed=0)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be at least 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ], ids=["negative", "float", "bool"])
+    def test_int_seed_must_be_a_non_negative_integer(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            sample(uniform_state(2).probabilities(), 10, seed)
+
     def test_normalizes_its_input(self):
         probs = np.random.default_rng(5).random(64)
         expected = np.random.default_rng(9).multinomial(1000, probs / probs.sum())

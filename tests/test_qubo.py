@@ -208,7 +208,7 @@ class TestJsonSchema:
             "n_vertex_vars", "slack_groups",
         }
         assert data["n_vars"] == 10
-        assert data["slack_groups"][0] == {"vertex": 2, "indices": [6, 7], "coefficients": [1, 1]}
+        assert data["slack_groups"][0] == {"vertex": 2, "indices": (6, 7), "coefficients": (1, 1)}
         assert all(i < j for i, j, _ in data["quadratic"])
 
 
