@@ -9,6 +9,7 @@ while it ran.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -19,17 +20,7 @@ from .graphs import (
     minimum_ds_bruteforce,
     minimum_tds_bruteforce,
 )
-from .harness import (
-    DEFAULT_SHOTS,
-    DEFAULT_SWEEP_LAYERS,
-    DEFAULT_SWEEP_MAXITERS,
-    DEFAULT_SWEEP_MULTIPLIERS,
-    RunConfig,
-    run_single,
-    run_sweep,
-    write_run_outputs,
-    write_sweep_outputs,
-)
+from .harness import RunConfig, run_single, run_sweep, write_run_outputs, write_sweep_outputs
 from .qubo import compile_tdp_qubo, qubit_counts, qubit_upper_bound
 
 EXIT_OK = 0
@@ -43,10 +34,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flags match only as spelled in full; a usage error raises, with the failing parser's usage."""
+    """Flags match only in full; absent flags stay unset, for the library's defaults; usage errors raise."""
 
-    def __init__(self, *args, allow_abbrev=False, **kwargs):
-        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+    def __init__(self, *args, allow_abbrev=False, argument_default=argparse.SUPPRESS, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, argument_default=argument_default, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
         # Leftovers fail here, so a subcommand's error carries its usage, not the top level's.
@@ -84,39 +75,39 @@ def _out_dir(path: str) -> str:
 
 def _add_graph_flag(parser):
     parser.add_argument(
-        "--graph",
-        default="builtin:paper6",
+        "--graph", dest="graph_source", metavar="GRAPH",
         help="graph file path or builtin:<name> (default builtin:paper6)",
     )
 
 
 def _add_penalty_flags(parser):
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--P", type=float, default=None, help="absolute punishment coefficient")
+    group.add_argument("--P", type=float, dest="penalty", metavar="P", help="absolute punishment coefficient")
     group.add_argument(
-        "--P-mult", type=float, default=None, dest="p_mult",
+        "--P-mult", type=float, dest="penalty_multiplier", metavar="P_MULT",
         help="punishment coefficient as a multiple of |V| (default 1.5)",
     )
 
 
 def _add_shots_and_ramp_flags(parser):
-    parser.add_argument("--shots", type=int, default=DEFAULT_SHOTS, help="final sampling shots")
-    parser.add_argument("--gamma-scale", type=float, default=None,
+    parser.add_argument("--shots", type=int, help="final sampling shots")
+    parser.add_argument("--gamma-scale", type=float,
                         help="initial ramp scale for gamma (default: auto from penalty)")
-    parser.add_argument("--beta-scale", type=float, default=None,
+    parser.add_argument("--beta-scale", type=float,
                         help="initial ramp scale for beta (default: auto from layer count)")
 
 
 def _add_run_flags(parser):
     _add_graph_flag(parser)
     _add_penalty_flags(parser)
-    parser.add_argument("--q", type=int, default=2, help="number of QAOA layers")
-    parser.add_argument("--maxiter", type=int, default=200, help="objective evaluation budget")
+    parser.add_argument("--q", type=int, dest="layers_q", metavar="Q", help="number of QAOA layers")
+    parser.add_argument("--maxiter", type=int, dest="max_iterations", metavar="MAXITER",
+                        help="objective evaluation budget")
     _add_shots_and_ramp_flags(parser)
-    parser.add_argument("--seed", type=int, default=0, help="run seed")
+    parser.add_argument("--seed", type=int, help="run seed")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
-        "--exact", dest="exact_metrics", action="store_true", default=True,
+        "--exact", dest="exact_metrics", action="store_true",
         help="score exact marginal probabilities (default)",
     )
     mode.add_argument(
@@ -124,7 +115,7 @@ def _add_run_flags(parser):
         help="score the sampled shot distribution instead",
     )
     parser.add_argument(
-        "--objective-shots", type=int, default=None,
+        "--objective-shots", type=int,
         help="estimate the optimizer objective from this many shots instead of exactly",
     )
 
@@ -151,31 +142,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the (q, P, maxiter) parameter grid")
     _add_graph_flag(p_sweep)
-    p_sweep.add_argument("--q-list", type=int, nargs="+", default=list(DEFAULT_SWEEP_LAYERS))
-    p_sweep.add_argument(
-        "--P-mult-list", type=float, nargs="+", dest="p_mult_list",
-        default=list(DEFAULT_SWEEP_MULTIPLIERS),
-    )
-    p_sweep.add_argument("--maxiter-list", type=int, nargs="+", default=list(DEFAULT_SWEEP_MAXITERS))
-    p_sweep.add_argument("--seeds", type=int, default=1, help="replicates per cell")
-    p_sweep.add_argument("--seed", type=int, default=0, help="sweep-level base seed")
+    p_sweep.add_argument("--q-list", type=int, nargs="+", dest="layer_values", metavar="Q_LIST")
+    p_sweep.add_argument("--P-mult-list", type=float, nargs="+", dest="multiplier_values", metavar="P_MULT_LIST")
+    p_sweep.add_argument("--maxiter-list", type=int, nargs="+", dest="maxiter_values", metavar="MAXITER_LIST")
+    p_sweep.add_argument("--seeds", type=int, dest="n_seeds", metavar="SEEDS", help="replicates per cell")
+    p_sweep.add_argument("--seed", type=int, help="sweep-level base seed")
     _add_shots_and_ramp_flags(p_sweep)
-    p_sweep.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    p_sweep.add_argument("--workers", type=int, help="worker processes (default 1)")
     p_sweep.add_argument("--out", type=_out_dir, default=None, help="output directory for sweep files")
 
     return parser
 
 
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
 def _run_config(args) -> RunConfig:
-    """RunConfig from whichever run flags the subcommand has; the rest keep their defaults."""
-    fields = {
-        "graph": "graph_source", "q": "layers_q", "P": "penalty", "p_mult": "penalty_multiplier",
-        "maxiter": "max_iterations", "shots": "shots", "seed": "seed",
-        "exact_metrics": "exact_metrics", "gamma_scale": "gamma_scale",
-        "beta_scale": "beta_scale", "objective_shots": "objective_shots",
-    }
-    flags = vars(args)
-    return RunConfig(**{field: flags[dest] for dest, field in fields.items() if dest in flags})
+    """RunConfig from the flags given, each under its field's name; the rest keep RunConfig's defaults."""
+    return RunConfig(**{name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS})
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -195,7 +179,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    g = load_graph(args.graph)
+    g = load_graph(_run_config(args).graph_source)
     q_tdp, q_dp, gap = qubit_counts(g)
     print(f"n_vertices={g.n_vertices} n_edges={g.n_edges}")
     print(f"q_tdp={q_tdp}")
@@ -209,7 +193,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = load_graph(args.graph)
+    g = load_graph(_run_config(args).graph_source)
     for name, solve in (("TDS", minimum_tds_bruteforce), ("DS", minimum_ds_bruteforce)):
         size, sets = solve(g)
         print(f"minimum {name} size: {size}")
@@ -234,14 +218,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    result = run_sweep(
-        _run_config(args),
-        layer_values=tuple(args.q_list),
-        multiplier_values=tuple(args.p_mult_list),
-        maxiter_values=tuple(args.maxiter_list),
-        n_seeds=args.seeds,
-        workers=args.workers,
-    )
+    # Every flag that is no RunConfig field is a run_sweep parameter of the same name.
+    grid = {name: value for name, value in vars(args).items() if name not in _CONFIG_FIELDS | {"command", "out"}}
+    result = run_sweep(_run_config(args), **grid)
     if args.out:
         write_sweep_outputs(result, args.out)
         print(f"wrote rows.csv, summary.csv, sweep.json to {args.out}")

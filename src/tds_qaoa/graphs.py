@@ -64,10 +64,14 @@ class Graph:
         self.n_vertices = n = require_integer("n_vertices", n_vertices, 0)
 
         canonical: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for edge in edges:
             try:
-                u, v = operator.index(u), operator.index(v)
-            except TypeError:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
+            try:
+                u, v = require_integer("u", u), require_integer("v", v)
+            except ValueError:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint") from None
             if u == v:
                 raise ValueError(f"self-loop on vertex {u} is not allowed")

@@ -52,11 +52,15 @@ class OptimizerConfig:
         if len(self.bounds) == 0:
             raise ValueError("bounds must hold at least one interval")
         for interval in self.bounds:
+            try:
+                lo, hi = interval
+            except (TypeError, ValueError):
+                raise ValueError(f"bound interval {interval!r} is not a (low, high) pair") from None
             # A bool or a string is no bound; NaN and inf make the interval unusable, as lo > hi does.
             lo, hi = (
                 end if isinstance(end, numbers.Real) and not math.isfinite(end)
                 else require_real("bounds", end)
-                for end in interval
+                for end in (lo, hi)
             )
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")

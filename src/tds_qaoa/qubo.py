@@ -98,6 +98,7 @@ def slack_coefficients(n: int) -> list[int]:
     followed by a remainder (n-1) - (2^(bl-1) - 1), so that subset sums of
     the coefficients reach exactly {0, ..., n-1}.
     """
+    n = require_integer("n", n)
     if n < 3:
         raise ValueError(f"slack encoding requires n >= 3, got {n} (n = 1, 2 need no slack)")
     bl = (n - 1).bit_length()

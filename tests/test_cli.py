@@ -1,3 +1,6 @@
+import argparse
+import dataclasses
+import inspect
 import json
 import multiprocessing
 import os
@@ -455,24 +458,66 @@ class TestFullSpelling:
         assert "cells:" not in captured.out
 
     def test_documented_command_lines_parse_as_before(self, tmp_path, monkeypatch):
+        """Each line's namespace holds only the flags given; the run and the sweep get the values they always got."""
         monkeypatch.chdir(tmp_path)
-        parse = lambda argv: vars(cli.build_parser().parse_args(argv))  # noqa: E731
+        parse = cli.build_parser().parse_args
         # The run that perfbench/worker.py times, with the cycle14-cli inputs filled in.
-        run = ["run", "--graph", "cycle.txt", "--q", "2", "--P", "21.0", "--maxiter", "10",
-               "--seed", "5", "--out", "cli-out"]
-        assert parse(run) == {
-            "command": "run", "graph": "cycle.txt", "P": 21.0, "p_mult": None, "q": 2, "maxiter": 10,
-            "shots": 100000, "gamma_scale": None, "beta_scale": None, "seed": 5,
-            "exact_metrics": True, "objective_shots": None, "out": "cli-out",
+        run = parse(["run", "--graph", "cycle.txt", "--q", "2", "--P", "21.0", "--maxiter", "10",
+                     "--seed", "5", "--out", "cli-out"])
+        assert vars(run) == {
+            "command": "run", "graph_source": "cycle.txt", "layers_q": 2, "penalty": 21.0,
+            "max_iterations": 10, "seed": 5, "out": "cli-out",
         }
+        assert cli._run_config(run) == harness.RunConfig(
+            graph_source="cycle.txt", layers_q=2, penalty=21.0, penalty_multiplier=None, max_iterations=10,
+            shots=100000, seed=5, exact_metrics=True, gamma_scale=None, beta_scale=None,
+            function_tolerance=1e-8, objective_shots=None,
+        )
         # README's sweep example.
         sweep = ["sweep", "--graph", "builtin:paper6", "--seeds", "1", "--workers", "4", "--out", "sweep/"]
-        assert parse(sweep) == {
-            "command": "sweep", "graph": "builtin:paper6", "q_list": [2, 5, 10, 20],
-            "p_mult_list": [0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5], "maxiter_list": [50, 100, 200, 500],
-            "seeds": 1, "seed": 0, "shots": 100000, "gamma_scale": None, "beta_scale": None,
-            "workers": 4, "out": "sweep/",
+        assert vars(parse(sweep)) == {
+            "command": "sweep", "graph_source": "builtin:paper6", "n_seeds": 1, "workers": 4, "out": "sweep/",
         }
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(inspect.signature(harness.run_sweep).bind(*args, **kwargs))
+            return harness.SweepResult(rows=[], summaries=[], n_cells=0, n_cells_tds=0, n_cells_min_tds=0)
+
+        monkeypatch.setattr(cli, "run_sweep", record)
+        assert cli_entry(sweep) == EXIT_OK
+        [call] = calls
+        call.apply_defaults()
+        arguments = {name: tuple(v) if isinstance(v, list) else v for name, v in call.arguments.items()}
+        assert arguments == {
+            "base": harness.RunConfig(
+                graph_source="builtin:paper6", layers_q=2, penalty=None, penalty_multiplier=None,
+                max_iterations=200, shots=100000, seed=0, exact_metrics=True, gamma_scale=None,
+                beta_scale=None, function_tolerance=1e-8, objective_shots=None,
+            ),
+            "layer_values": (2, 5, 10, 20),
+            "multiplier_values": (0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5),
+            "maxiter_values": (50, 100, 200, 500),
+            "n_seeds": 1,
+            "workers": 4,
+        }
+
+
+class TestFlagsSetParameters:
+    """Each flag's dest is the library parameter it sets, so the library owns every default."""
+
+    def test_every_dest_names_a_parameter(self):
+        fields = {f.name for f in dataclasses.fields(harness.RunConfig)}
+        sweep_parameters = set(inspect.signature(harness.run_sweep).parameters) - {"base"}
+        [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == {"compile", "bound", "oracle", "run", "trace", "sweep"}
+        for command, parser in subparsers.choices.items():
+            known = fields | sweep_parameters if command == "sweep" else fields
+            for action in parser._actions:
+                if action.dest not in {"help", "command", "out"}:
+                    assert action.dest in known, (command, action.option_strings, action.dest)
+        for command in ("run", "trace", "compile"):
+            assert cli._run_config(cli.build_parser().parse_args([command])) == harness.RunConfig()
 
 
 class TestUsageErrors:

@@ -58,6 +58,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} has a non-integer endpoint")):
             Graph(3, [edge, (1, 2)])
 
+    @pytest.mark.parametrize("edge, fault", [
+        ((True, 2), "has a non-integer endpoint"),
+        ((0, np.False_), "has a non-integer endpoint"),
+        ((0, 1, 2), "is not a pair of vertices"),
+        ((0,), "is not a pair of vertices"),
+        (1, "is not a pair of vertices"),
+        (None, "is not a pair of vertices"),
+    ])
+    def test_rejects_malformed_edge_by_name(self, edge, fault):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} {fault}")):
+            Graph(3, [edge, (0, 1)])
+
 
 class TestValueSemantics:
     def test_repr_round_trips(self, paper6):

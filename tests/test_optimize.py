@@ -241,6 +241,12 @@ class TestMinimize:
         with pytest.raises(ValueError, match="empty or not finite"):
             OptimizerConfig(5, ((0.0, 1.0), bound))
 
+    @pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), (1.0,), 1.0, None, np.zeros(3)])
+    def test_interval_that_is_no_pair_rejected(self, interval):
+        message = f"bound interval {interval!r} is not a (low, high) pair"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            OptimizerConfig(5, ((0.0, 1.0), interval))
+
     @pytest.mark.parametrize("bounds", [(), [], np.zeros((0, 2))])
     def test_empty_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="bounds must hold at least one interval"):

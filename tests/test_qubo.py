@@ -55,6 +55,20 @@ class TestSlackCoefficients:
         with pytest.raises(ValueError):
             slack_coefficients(2)
 
+    @pytest.mark.parametrize("n, message", [
+        (3.5, "n must be an integer, got 3.5"),
+        (True, "n must be an integer, got True"),
+        ("5", "n must be an integer, got '5'"),
+        (2, "slack encoding requires n >= 3, got 2"),
+        (-1, "slack encoding requires n >= 3, got -1"),
+    ])
+    def test_bad_n_refused_by_name(self, n, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            slack_coefficients(n)
+
+    def test_numpy_integer_n(self):
+        assert slack_coefficients(np.int64(5)) == [1, 2, 1]
+
     @pytest.mark.parametrize("n", range(3, 40))
     def test_reachable_sums_exact(self, n):
         coeffs = slack_coefficients(n)
