@@ -1,103 +1,17 @@
 """Total dominating set optimization via QUBO penalties and simulated QAOA."""
 
-from .graphs import (
-    DegreePartition,
-    Graph,
-    InfeasibleGraphError,
-    builtin_instance,
-    degree_partition,
-    is_dominating_set,
-    is_total_dominating_set,
-    load_graph,
-    minimum_ds_bruteforce,
-    minimum_tds_bruteforce,
-    parse_graph,
-)
-from .harness import (
-    RunConfig,
-    RunResult,
-    SweepResult,
-    compute_metrics,
-    run_single,
-    run_sweep,
-)
-from .optimize import (
-    OptimizationTrace,
-    OptimizerConfig,
-    angle_bounds,
-    default_ramp_scales,
-    initial_angles,
-    minimize,
-)
-from .qaoa import (
-    AngleSchedule,
-    Circuit,
-    StateVector,
-    apply_cost_layer,
-    apply_mixer_layer,
-    evolve,
-    expectation,
-    marginalize_vertices,
-    sample,
-)
-from .qubo import (
-    EnergyTable,
-    QuboModel,
-    SlackGroup,
-    VariableRegistry,
-    bits_to_index,
-    build_energy_table,
-    compile_tdp_qubo,
-    index_to_bits,
-    qubit_counts,
-    qubit_upper_bound,
-    slack_coefficients,
-)
+from . import graphs, harness, optimize, qaoa, qubo
+from .graphs import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .optimize import *  # noqa: F403
+from .qaoa import *  # noqa: F403
+from .qubo import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleSchedule",
-    "Circuit",
-    "DegreePartition",
-    "EnergyTable",
-    "Graph",
-    "InfeasibleGraphError",
-    "OptimizationTrace",
-    "OptimizerConfig",
-    "QuboModel",
-    "RunConfig",
-    "RunResult",
-    "SlackGroup",
-    "StateVector",
-    "SweepResult",
-    "VariableRegistry",
-    "angle_bounds",
-    "apply_cost_layer",
-    "apply_mixer_layer",
-    "bits_to_index",
-    "build_energy_table",
-    "builtin_instance",
-    "compile_tdp_qubo",
-    "compute_metrics",
-    "default_ramp_scales",
-    "degree_partition",
-    "evolve",
-    "expectation",
-    "index_to_bits",
-    "initial_angles",
-    "is_dominating_set",
-    "is_total_dominating_set",
-    "load_graph",
-    "marginalize_vertices",
-    "minimize",
-    "minimum_ds_bruteforce",
-    "minimum_tds_bruteforce",
-    "parse_graph",
-    "qubit_counts",
-    "qubit_upper_bound",
-    "run_single",
-    "run_sweep",
-    "sample",
-    "slack_coefficients",
-]
+__all__ = []
+__all__ += graphs.__all__
+__all__ += harness.__all__
+__all__ += optimize.__all__
+__all__ += qaoa.__all__
+__all__ += qubo.__all__

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
 import sys
 
@@ -57,20 +58,35 @@ def _out_path(path: str) -> pathlib.Path:
     return pathlib.Path(path)
 
 
-def _out_file(path: str) -> str:
-    """--out of compile and trace: a file in a directory that exists."""
-    target = _out_path(path)
-    if target.is_dir() or not target.parent.is_dir():
-        raise argparse.ArgumentTypeError(f"{path} is not a file in an existing directory")
+def _writable(directory: pathlib.Path, path: str) -> str:
+    """path, once the user may make entries in directory, where its output goes."""
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"{directory} is not writable")
     return path
+
+
+def _out_file(path: str) -> str:
+    """--out of compile and trace: a file in a writable directory that exists."""
+    target = _out_path(path)
+    try:
+        if target.is_dir() or not target.parent.is_dir():
+            raise argparse.ArgumentTypeError(f"{path} is not a file in an existing directory")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot inspect {path}: {exc.strerror}")
+    return _writable(target.parent, path)
 
 
 def _out_dir(path: str) -> str:
-    """--out of run and sweep: a directory, made if missing; no file may stand in its way."""
+    """--out of run and sweep: a directory, made if missing in a writable one; no file may stand in its way."""
     target = _out_path(path)
-    if blocker := next((p for p in (target, *target.parents) if p.exists() and not p.is_dir()), None):
-        raise argparse.ArgumentTypeError(f"{blocker} exists and is not a directory")
-    return path
+    try:
+        # Every ancestor of an existing path is a directory, so the nearest existing one is the only blocker.
+        nearest = next(p for p in (target, *target.parents) if p.exists())
+        if not nearest.is_dir():
+            raise argparse.ArgumentTypeError(f"{nearest} exists and is not a directory")
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot inspect {path}: {exc.strerror}")
+    return _writable(nearest, path)
 
 
 def _add_graph_flag(parser):

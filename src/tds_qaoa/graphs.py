@@ -12,6 +12,20 @@ significant bit, the convention of the energy table and of bit strings.
 
 from __future__ import annotations
 
+__all__ = [
+    "DegreePartition",
+    "Graph",
+    "InfeasibleGraphError",
+    "builtin_instance",
+    "degree_partition",
+    "is_dominating_set",
+    "is_total_dominating_set",
+    "load_graph",
+    "minimum_ds_bruteforce",
+    "minimum_tds_bruteforce",
+    "parse_graph",
+]
+
 import math
 import numbers
 import operator

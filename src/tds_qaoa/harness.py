@@ -15,6 +15,15 @@ budget) cells with per-cell replicate seeds and writes CSV/JSON results.
 
 from __future__ import annotations
 
+__all__ = [
+    "RunConfig",
+    "RunResult",
+    "SweepResult",
+    "compute_metrics",
+    "run_single",
+    "run_sweep",
+]
+
 import csv
 import io
 import itertools

@@ -13,6 +13,15 @@ reproducible for a fixed (objective, x0, config).
 
 from __future__ import annotations
 
+__all__ = [
+    "OptimizationTrace",
+    "OptimizerConfig",
+    "angle_bounds",
+    "default_ramp_scales",
+    "initial_angles",
+    "minimize",
+]
+
 import math
 import numbers
 from dataclasses import dataclass

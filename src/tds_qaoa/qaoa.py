@@ -28,6 +28,18 @@ significant bit, matching the energy-table convention).
 
 from __future__ import annotations
 
+__all__ = [
+    "AngleSchedule",
+    "Circuit",
+    "StateVector",
+    "apply_cost_layer",
+    "apply_mixer_layer",
+    "evolve",
+    "expectation",
+    "marginalize_vertices",
+    "sample",
+]
+
 import math
 from dataclasses import dataclass
 from functools import lru_cache

@@ -27,6 +27,20 @@ and plain domination encodings, whose gap g satisfies
 
 from __future__ import annotations
 
+__all__ = [
+    "EnergyTable",
+    "QuboModel",
+    "SlackGroup",
+    "VariableRegistry",
+    "bits_to_index",
+    "build_energy_table",
+    "compile_tdp_qubo",
+    "index_to_bits",
+    "qubit_counts",
+    "qubit_upper_bound",
+    "slack_coefficients",
+]
+
 import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field

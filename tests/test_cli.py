@@ -432,6 +432,64 @@ class TestOutPath:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def assert_refused_before_any_work(tmp_path, capsys, command, message):
+        captured = capsys.readouterr()
+        assert f"error: argument --out: {message}" in captured.err
+        assert f"usage: tds-qaoa {command}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["locked"]
+
+    @pytest.mark.parametrize("command, out", [
+        ("run", "locked/sub/dir"),
+        ("sweep", "locked/sub/dir"),
+        ("compile", "locked/sub/m.json"),
+        ("trace", "locked/sub/trace.csv"),
+    ])
+    def test_out_that_cannot_be_inspected_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command, out):
+        """A directory without search permission: stat below it fails with EACCES (root ignores the bits, so stat is patched)."""
+        forbid_work(monkeypatch)
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        real_stat = pathlib.Path.stat
+
+        def stat(self, **kwargs):
+            if locked in self.parents:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_stat(self, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "stat", stat)
+        path = str(tmp_path / out)
+        assert cli_entry([command, "--out", path]) == EXIT_USAGE
+        self.assert_refused_before_any_work(tmp_path, capsys, command, f"cannot inspect {path}: Permission denied")
+
+    @pytest.mark.parametrize("command, out, unwritable", [
+        ("run", "locked/sub/dir", "locked"),
+        ("run", "locked", "locked"),
+        ("sweep", "locked/sub/dir", "locked"),
+        ("sweep", "locked", "locked"),
+        ("compile", "locked/m.json", "locked"),
+        ("trace", "locked/trace.csv", "locked"),
+    ], ids=["run-below", "run-itself", "sweep-below", "sweep-itself", "compile", "trace"])
+    def test_out_that_cannot_be_written_exits_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, out, unwritable,
+    ):
+        """The nearest existing directory of run and sweep, or the parent of compile's and trace's file, must admit new entries."""
+        forbid_work(monkeypatch)
+        (tmp_path / "locked").mkdir()
+        real_access = os.access
+        checked = []
+
+        def access(path, mode, **kwargs):
+            checked.append((pathlib.Path(path), mode))
+            return pathlib.Path(path) != tmp_path / unwritable and real_access(path, mode, **kwargs)
+
+        monkeypatch.setattr(os, "access", access)
+        assert cli_entry([command, "--out", str(tmp_path / out)]) == EXIT_USAGE
+        assert checked == [(tmp_path / unwritable, os.W_OK | os.X_OK)]
+        self.assert_refused_before_any_work(tmp_path, capsys, command, f"{tmp_path / unwritable} is not writable")
+
     def test_run_writes_into_an_existing_directory(self, edge_graph, tmp_path, capsys):
         argv = ["run", "--graph", edge_graph, "--q", "1", "--maxiter", "5", "--out", str(tmp_path)]
         assert cli_entry(argv) == EXIT_OK
