@@ -41,9 +41,13 @@ MAX_COUNT = 2**63 - 1
 
 def require_integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """value as an int; ValueError naming the field unless it is a non-bool integer in [low, high]."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    try:
+        # An ndarray has __index__, but only a 0-d integer one converts; the rest raise TypeError.
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    n = operator.index(value)
     if low is not None and n < low:
         raise ValueError(f"{name} must be at least {low}, got {n}")
     if high is not None and n > high:
@@ -58,6 +62,14 @@ def require_real(name: str, value, positive: bool = False) -> float:
     if not math.isfinite(value) or (positive and value <= 0):
         raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {value}")
     return float(value)
+
+
+def require_reals(name: str, value) -> np.ndarray:
+    """value as a float64 array; ValueError naming the field unless its dtype is integer or real."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of reals, got {array.dtype}")
+    return array.astype(np.float64, copy=False)
 
 
 class InfeasibleGraphError(ValueError):
@@ -76,6 +88,8 @@ class Graph:
 
     def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]]):
         self.n_vertices = n = require_integer("n_vertices", n_vertices, 0)
+        if n > MAX_GRAPH_VERTICES:
+            raise ValueError(f"graphs are limited to {MAX_GRAPH_VERTICES} vertices, got {n}")
 
         canonical: set[tuple[int, int]] = set()
         for edge in edges:
@@ -161,8 +175,9 @@ def is_dominating_set(g: Graph, d: Iterable[int]) -> bool:
     return all(i in dset or g._adjacency[i] & dset for i in range(g.n_vertices))
 
 
-# Largest vertex count parse_graph accepts. A Graph holds a Python set per
-# vertex (about 450 B each), so the cap keeps a header's n from sizing memory.
+# Largest vertex count a Graph accepts. A Graph holds a Python set per vertex
+# (about 450 B each), so the cap keeps an n from a caller or a file header
+# from sizing memory.
 MAX_GRAPH_VERTICES = 1 << 16
 
 # Largest n for which the package builds a 2^n array: a subset table over n
@@ -270,8 +285,6 @@ def parse_graph(text: str) -> Graph:
         n, m = map(int, lines[0].split())
     except ValueError:
         raise ValueError(f"expected header 'n m', got {lines[0]!r}") from None
-    if n > MAX_GRAPH_VERTICES:
-        raise ValueError(f"graph files are limited to {MAX_GRAPH_VERTICES} vertices, got {n}")
     if len(lines) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(lines) - 1} edge lines found")
     edges = []

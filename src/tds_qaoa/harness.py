@@ -36,7 +36,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .graphs import MAX_COUNT, Graph, load_graph, optimal_subsets, require_integer, require_real, subset_table
+from .graphs import MAX_COUNT, Graph, load_graph, optimal_subsets, subset_table
+from .graphs import require_integer, require_real, require_reals
 # perfbench/tracer.py wraps these names where harness binds them.
 from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
 from .qaoa import expectation  # noqa: F401
@@ -211,7 +212,7 @@ def compute_metrics(dist: np.ndarray, g: Graph) -> dict:
     strings (vertex 0 is the most significant bit). Returns RunResult's five
     scored fields, by name.
     """
-    probs = np.asarray(dist, dtype=np.float64)
+    probs = require_reals("dist", dist)
     size = 1 << g.n_vertices
     if probs.shape != (size,):
         raise ValueError(f"expected {size} vertex-subset probabilities, got shape {probs.shape}")

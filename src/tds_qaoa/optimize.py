@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import require_integer, require_real
+from .graphs import require_integer, require_real, require_reals
 from .qaoa import AngleSchedule
 
 TERMINATION_BUDGET = "budget_exhausted"
@@ -107,7 +107,7 @@ def minimize(
     config: OptimizerConfig,
 ) -> OptimizationTrace:
     """Nelder-Mead with box projection; see module docstring for semantics."""
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = require_reals("x0", x0)
     lo = np.array([b[0] for b in config.bounds], dtype=np.float64)
     hi = np.array([b[1] for b in config.bounds], dtype=np.float64)
     if x0.shape != lo.shape:

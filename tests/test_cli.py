@@ -41,11 +41,12 @@ def forbid_work(monkeypatch):
 class TestOracle:
     def test_paper6_instance(self, capsys):
         assert cli_entry(["oracle", "--graph", "builtin:paper6"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "minimum TDS size: 3" in out
-        for s in ("[0, 1, 2]", "[0, 4, 5]", "[1, 2, 4]", "[2, 4, 5]"):
-            assert f"TDS {s}" in out
-        assert "minimum DS size: 2" in out
+        assert capsys.readouterr().out == (
+            "minimum TDS size: 3\n"
+            "  TDS [0, 1, 2]\n  TDS [0, 4, 5]\n  TDS [1, 2, 4]\n  TDS [2, 4, 5]\n"
+            "minimum DS size: 2\n"
+            "  DS [0, 2]\n  DS [0, 3]\n  DS [0, 4]\n  DS [1, 4]\n  DS [2, 5]\n"
+        )
 
     def test_infeasible_exit_code(self, isolated_graph, capsys):
         assert cli_entry(["oracle", "--graph", isolated_graph]) == EXIT_INFEASIBLE
@@ -59,7 +60,7 @@ class TestBound:
         assert "q_tdp=10" in out
         assert "q_dp=18" in out
         assert "gap=8" in out
-        assert "upper_bound=14.49" in out
+        assert "upper_bound=14.4902" in out
 
     def test_sparse_graph_bound_undefined(self, edge_graph, capsys):
         assert cli_entry(["bound", "--graph", edge_graph]) == EXIT_OK
@@ -83,15 +84,34 @@ class TestBound:
         assert cli_entry(["bound", "--graph", str(path)]) == EXIT_USAGE
         assert "limited to 65536 vertices" in capsys.readouterr().err
 
-    def test_python_m_entry_point(self):
+    # Runs a command and prints its peak RSS last on stderr. pytest's own getrusage(RUSAGE_CHILDREN)
+    # would report the largest of all its children instead.
+    PEAK_RSS = (
+        "import resource, subprocess, sys; code = subprocess.run(sys.argv[1:]).returncode; "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr); sys.exit(code)"
+    )
+
+    @pytest.mark.parametrize("argv, code, stdout, stderr", [
+        (["bound"], EXIT_OK, "q_tdp=10\n", ""),
+        # Layers are built per block of 64, so q = 20000 stays far below 100 MB (224 MB unblocked).
+        (["run", "--q", "20000", "--maxiter", "2", "--out", "{out}"], EXIT_OK, "wrote result.json", ""),
+        (["run", "--out", ""], EXIT_USAGE, "", "error: argument --out: the path must not be empty\n"),
+        (["oracle", "--graph", "{isolated}"], EXIT_INFEASIBLE, "", "infeasible instance: "),
+    ], ids=["bound", "deep-run", "empty-out", "isolated-vertex"])
+    def test_python_m_entry_point(self, tmp_path, isolated_graph, argv, code, stdout, stderr):
+        """main(), which the console script calls, exits with each code and prints no traceback."""
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        argv = [a.format(out=tmp_path / "out", isolated=isolated_graph) for a in argv]
         proc = subprocess.run(
-            [sys.executable, "-m", "tds_qaoa", "bound"],
+            [sys.executable, "-c", self.PEAK_RSS, sys.executable, "-m", "tds_qaoa", *argv],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=60,
         )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert "q_tdp=10" in proc.stdout
+        err, _, peak = proc.stderr.rstrip("\n").rpartition("\n")
+        assert proc.returncode == code, err
+        assert stdout in proc.stdout
+        assert err.startswith(stderr) and "Traceback" not in err
+        assert int(peak) < 100 * (1 << 20 if sys.platform == "darwin" else 1 << 10)  # ru_maxrss: bytes or kB
 
 
 class TestPackageImport:
@@ -117,6 +137,8 @@ class TestCompile:
         data = json.loads(capsys.readouterr().out)
         assert data["n_vars"] == 10
         assert data["penalty"] == 9.0
+        # A slack group is its dataclass's fields, in order.
+        assert list(data["slack_groups"][0].items()) == [("vertex", 2), ("indices", [6, 7]), ("coefficients", [1, 1])]
 
     def test_out_file_and_multiplier(self, tmp_path, capsys):
         out = tmp_path / "model.json"
@@ -148,6 +170,10 @@ class TestRun:
         assert code == EXIT_OK
         result = json.loads((out / "result.json").read_text())
         assert result["z_star"] == "11"
+        # The flags left out keep RunConfig's defaults.
+        assert result["config"] == dataclasses.asdict(harness.RunConfig(
+            graph_source=edge_graph, layers_q=2, penalty=3.0, max_iterations=50, seed=7, shots=2000,
+        ))
         assert (out / "distribution.csv").exists()
         assert (out / "trace.csv").exists()
 
@@ -251,6 +277,7 @@ class TestSweep:
         assert "cells failed: 0" in printed
         rows = (out / "rows.csv").read_text().splitlines()
         assert len(rows) == 1 + 4
+        assert sorted(p.name for p in out.iterdir()) == ["rows.csv", "summary.csv", "sweep.json"]
 
     def test_infeasible_graph(self, isolated_graph, capsys):
         code = cli_entry(["sweep", "--graph", isolated_graph, "--q-list", "1",

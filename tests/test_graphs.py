@@ -45,13 +45,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="outside"):
             Graph(3, [(0, 3)])
 
-    @pytest.mark.parametrize(
-        "n_vertices, edges", [(3.7, [(0, 1), (1, 2), (2, 3)]), (True, []), ("3", [])]
-    )
+    @pytest.mark.parametrize("n_vertices, edges", [
+        (3.7, [(0, 1), (1, 2), (2, 3)]), (True, []), ("3", []), (np.array([3, 4]), []), (np.array(5.0), []),
+    ])
     def test_rejects_non_integer_vertex_count(self, n_vertices, edges):
         message = f"n_vertices must be an integer, got {n_vertices!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             Graph(n_vertices, edges)
+
+    def test_zero_d_integer_array_is_an_integer(self):
+        g = Graph(np.array(3), [(0, 1), (1, 2)])
+        assert g == path_graph(3) and type(g.n_vertices) is int
+
+    def test_rejects_more_vertices_than_the_cap(self):
+        """Refused before a set per vertex is allocated; parse_graph reaches the cap through Graph."""
+        with pytest.raises(ValueError, match="limited to 65536 vertices, got 65537"):
+            Graph(65537, [])
 
     @pytest.mark.parametrize("edge", [(0, 1.5), (2.0, 1), (0, "1")])
     def test_rejects_non_integer_endpoint(self, edge):

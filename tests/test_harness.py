@@ -113,6 +113,10 @@ class TestComputeMetrics:
             with pytest.raises(ValueError, match="negative or NaN entry"):
                 compute_metrics(probs, paper6)
 
+    def test_complex_distribution_rejected(self, paper6):
+        with pytest.raises(ValueError, match="dist must be an array of reals, got complex128"):
+            compute_metrics(uniform_dist(6) + 0j, paper6)
+
     def test_dense_array_input(self, paper6):
         probs = np.zeros(64)
         probs[0b100011] = 1.0
@@ -672,6 +676,7 @@ class TestRunSweep:
         serial = run_sweep(base, workers=1, **kwargs)
         parallel = run_sweep(base, workers=2, **kwargs)
         assert self._strip_timing(serial.rows) == self._strip_timing(parallel.rows)
+        assert serial.summaries == parallel.summaries
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

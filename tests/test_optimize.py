@@ -151,6 +151,11 @@ class TestMinimize:
         with pytest.raises(ValueError, match=re.escape("x0 lies outside the bounds, got [nan, 0.5]")):
             minimize(_forbidden_objective, [float("nan"), 0.5], config)
 
+    def test_complex_x0_rejected_before_any_evaluation(self):
+        config = OptimizerConfig(max_iterations=10, bounds=((0.0, 1.0),) * 2)
+        with pytest.raises(ValueError, match="x0 must be an array of reals, got complex128"):
+            minimize(_forbidden_objective, [0.5 + 0.5j, 0.5], config)
+
     def test_x0_and_bounds_of_different_lengths_rejected(self):
         config = OptimizerConfig(max_iterations=10, bounds=((0.0, 1.0),) * 2)
         with pytest.raises(ValueError, match="x0 has 3 coordinates, bounds have 2"):
