@@ -91,21 +91,22 @@ class RunConfig:
             raise ValueError(f"graph_source must be a string, got {self.graph_source!r}")
         for name in ("layers_q", "max_iterations", "shots", "objective_shots"):
             if getattr(self, name) is not None:
-                require_integer(name, getattr(self, name), 1, MAX_COUNT)
-        require_integer("seed", self.seed)  # any integer: derive_seed reduces it mod 2^63
+                object.__setattr__(self, name, require_integer(name, getattr(self, name), 1, MAX_COUNT))
+        object.__setattr__(self, "seed", require_integer("seed", self.seed))  # derive_seed reduces it mod 2^63
         if not isinstance(self.exact_metrics, bool):
             raise ValueError(f"exact_metrics must be a bool, got {self.exact_metrics!r}")
         if self.penalty is not None and self.penalty_multiplier is not None:
             raise ValueError("give either penalty or penalty_multiplier, not both")
         for name in ("penalty", "penalty_multiplier", "function_tolerance", "gamma_scale", "beta_scale"):
             if getattr(self, name) is not None:  # a ramp scale may be zero or negative
-                require_real(name, getattr(self, name), positive=not name.endswith("_scale"))
+                value = require_real(name, getattr(self, name), positive=not name.endswith("_scale"))
+                object.__setattr__(self, name, value)
 
     def resolve_penalty(self, g: Graph) -> float:
         if self.penalty is not None:
-            return float(self.penalty)
+            return self.penalty
         multiplier = 1.5 if self.penalty_multiplier is None else self.penalty_multiplier
-        return float(multiplier) * g.n_vertices
+        return multiplier * g.n_vertices
 
 
 @dataclass(eq=False)
@@ -393,8 +394,8 @@ def run_sweep(
     twice (see _run_pooled), gets its error in the row's error column and
     does not stop the sweep.
     """
-    require_integer("n_seeds", n_seeds, 1)
-    require_integer("workers", workers, 1)
+    n_seeds = require_integer("n_seeds", n_seeds, 1)
+    workers = require_integer("workers", workers, 1)
     for name, values in (
         ("layer_values", layer_values),
         ("multiplier_values", multiplier_values),

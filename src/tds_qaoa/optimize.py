@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import require_integer, require_real, require_reals
+from .graphs import MAX_COUNT, require_integer, require_real, require_reals
 from .qaoa import AngleSchedule
 
 TERMINATION_BUDGET = "budget_exhausted"
@@ -55,9 +55,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integer("max_iterations", self.max_iterations, 1)
-        require_integer("seed", self.seed)
-        require_real("function_tolerance", self.function_tolerance, positive=True)
+        object.__setattr__(self, "max_iterations", require_integer("max_iterations", self.max_iterations, 1))
+        object.__setattr__(self, "seed", require_integer("seed", self.seed))
+        tolerance = require_real("function_tolerance", self.function_tolerance, positive=True)
+        object.__setattr__(self, "function_tolerance", tolerance)
         if len(self.bounds) == 0:
             raise ValueError("bounds must hold at least one interval")
         for interval in self.bounds:
@@ -192,7 +193,7 @@ def minimize(
 
 def angle_bounds(q: int) -> tuple[tuple[float, float], ...]:
     """Box bounds for the flat angle vector: gammas in [0, 2pi], betas in [0, pi]."""
-    require_integer("q", q, 1)
+    q = require_integer("q", q, 1, MAX_COUNT)
     return tuple([(0.0, 2.0 * np.pi)] * q + [(0.0, np.pi)] * q)
 
 
@@ -213,8 +214,8 @@ def default_ramp_scales(layers_q: int, penalty: float) -> tuple[float, float]:
 
     Explicit scales always override these defaults; see _RAMP_DEFAULTS.
     """
-    require_integer("layers_q", layers_q, 1)
-    require_real("penalty", penalty, positive=True)
+    layers_q = require_integer("layers_q", layers_q, 1, MAX_COUNT)
+    penalty = require_real("penalty", penalty, positive=True)
     for limit, target, beta_scale in _RAMP_DEFAULTS:
         if layers_q <= limit:
             break
@@ -231,9 +232,9 @@ def initial_angles(q: int, gamma_scale: float, beta_scale: float) -> AngleSchedu
     gamma_k = (k - 1/2)/q * gamma_scale and beta_k = (1 - (k - 1/2)/q) *
     beta_scale for k = 1..q, clipped into the angle bounds.
     """
-    require_integer("q", q, 1)
-    require_real("gamma_scale", gamma_scale)
-    require_real("beta_scale", beta_scale)
+    q = require_integer("q", q, 1, MAX_COUNT)
+    gamma_scale = require_real("gamma_scale", gamma_scale)
+    beta_scale = require_real("beta_scale", beta_scale)
     fractions = [(k - 0.5) / q for k in range(1, q + 1)]
     gammas = [min(max(f * gamma_scale, 0.0), 2.0 * np.pi) for f in fractions]
     betas = [min(max((1.0 - f) * beta_scale, 0.0), np.pi) for f in fractions]

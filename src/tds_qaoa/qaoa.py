@@ -73,7 +73,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = require_integer("n_qubits", self.n_qubits, 1, MAX_TABLE_BITS)
+        self.n_qubits = n = require_integer("n_qubits", self.n_qubits, 1, MAX_TABLE_BITS)
         if np.shape(self.amplitudes) != (1 << n,):
             raise ValueError(f"state of {n} qubits has amplitudes of shape {np.shape(self.amplitudes)}")
 
@@ -340,7 +340,7 @@ def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     normalized here by that total. seed is a non-negative int or a numpy
     Generator, which is drawn from as is; a fixed int seed gives fixed counts.
     """
-    require_integer("shots", shots, 1, MAX_COUNT)
+    shots = require_integer("shots", shots, 1, MAX_COUNT)
     if not isinstance(seed, np.random.Generator):
         seed = require_integer("seed", seed, 0)
     probs = np.asarray(probs)
@@ -367,5 +367,5 @@ def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
     n_qubits = size.bit_length() - 1
     if 1 << n_qubits != size:
         raise ValueError(f"dense distribution length {size} is not a power of two")
-    require_integer("n_vertex_vars", n_vertex_vars, 0, n_qubits)
+    n_vertex_vars = require_integer("n_vertex_vars", n_vertex_vars, 0, n_qubits)
     return dist.reshape(1 << n_vertex_vars, -1).sum(axis=1)

@@ -134,7 +134,7 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
     """
     if g.n_vertices == 0:
         raise ValueError("graph has no vertices: a QUBO needs at least one variable")
-    require_real("punishment coefficient", p, positive=True)
+    p = require_real("punishment coefficient", p, positive=True)
 
     degrees = g.degrees()
     if any(deg == 0 for deg in degrees):
@@ -184,7 +184,7 @@ def compile_tdp_qubo(g: Graph, p: float) -> QuboModel:
         constant=constant,
         linear=linear,
         quadratic=quadratic,
-        penalty=float(p),
+        penalty=p,
         registry=VariableRegistry(g.n_vertices, tuple(groups)),
         graph=g,
     )
@@ -194,10 +194,11 @@ def bits_to_index(bits: str | Sequence[int]) -> int:
     """Basis-state integer for a bit string ("100011") or 0/1 sequence; ValueError names a bad item."""
     index = 0
     for b in bits:
-        bit = {"0": 0, "1": 1}.get(b) if isinstance(b, str) else b
-        if isinstance(bit, bool) or not hasattr(type(bit), "__index__") or bit not in (0, 1):
-            raise ValueError(f"bit string item {b!r} is not 0 or 1")
-        index = (index << 1) | int(bit)
+        try:
+            bit = require_integer("bit", {"0": 0, "1": 1}.get(b) if isinstance(b, str) else b, 0, 1)
+        except ValueError:
+            raise ValueError(f"bit string item {b!r} is not 0 or 1") from None
+        index = (index << 1) | bit
     return index
 
 
