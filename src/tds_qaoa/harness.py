@@ -385,9 +385,10 @@ def run_sweep(
 
     One row per (cell, replicate); one summary per cell aggregating over
     replicates. base.seed is the sweep-level seed from which every replicate
-    seed is derived; the grid owns q, P and maxiter, so a base with penalty
-    set is refused. A bad file, an infeasible graph, a bad or repeated grid
-    value, a penalty too large for exact energies, a model past the energy
+    seed is derived. The grid owns q, P and maxiter: each value takes the rule
+    of the RunConfig field it sets, before the graph loads, so a base with
+    penalty set is refused. A bad file, an infeasible graph, a bad or repeated
+    grid value, a penalty too large for exact energies, a model past the energy
     table's MAX_TABLE_BITS variables, or a bad n_seeds or workers raises
     before any cell runs; the pre-flight is one compile, at the largest
     penalty. A cell that fails while running, or whose worker process dies
@@ -396,20 +397,23 @@ def run_sweep(
     """
     n_seeds = require_integer("n_seeds", n_seeds, 1)
     workers = require_integer("workers", workers, 1)
-    for name, values in (
-        ("layer_values", layer_values),
-        ("multiplier_values", multiplier_values),
-        ("maxiter_values", maxiter_values),
+    grid = []
+    for name, setting, values in (
+        ("layer_values", "layers_q", layer_values),
+        ("multiplier_values", "penalty_multiplier", multiplier_values),
+        ("maxiter_values", "max_iterations", maxiter_values),
     ):
+        values = [getattr(replace(base, **{setting: v}), setting) for v in values]  # as RunConfig keeps it
         if len(set(values)) != len(values):
-            raise ValueError(f"{name} repeats a value: {list(values)}")
+            raise ValueError(f"{name} repeats a value: {values}")
+        grid.append(values)
+    layer_values, multiplier_values, maxiter_values = grid
     g = load_graph(base.graph_source)
-    # A base penalty fails RunConfig's either/or rule here. Of the compile's
-    # checks only the 2^53 one depends on P, and it grows with P: one compile
-    # at the largest penalty fails the sweep wherever run_single would. It runs
-    # unless the grid is empty, and before any cell is built, since an empty
-    # graph's P = 0 would fail RunConfig first. Each cell carries its resolved
-    # penalty, which its seed tag, its row's P and run_single read.
+    # Of the compile's checks only the 2^53 one depends on P, and it grows with
+    # P: one compile at the largest penalty fails the sweep wherever run_single
+    # would. It runs unless the grid is empty, and before any cell is built,
+    # since an empty graph's P = 0 would fail RunConfig first. Each cell carries
+    # its resolved penalty, which its seed tag, its row's P and run_single read.
     penalties = {m: replace(base, penalty_multiplier=m).resolve_penalty(g) for m in multiplier_values}
     if len(layer_values) * len(penalties) * len(maxiter_values):
         require_table_size(compile_tdp_qubo(g, max(penalties.values())).n_vars)

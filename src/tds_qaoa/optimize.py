@@ -61,6 +61,7 @@ class OptimizerConfig:
         object.__setattr__(self, "function_tolerance", tolerance)
         if len(self.bounds) == 0:
             raise ValueError("bounds must hold at least one interval")
+        bounds = []
         for interval in self.bounds:
             try:
                 lo, hi = interval
@@ -74,6 +75,8 @@ class OptimizerConfig:
             )
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
+            bounds.append((lo, hi))
+        object.__setattr__(self, "bounds", tuple(bounds))
 
 
 @dataclass(eq=False)
@@ -109,8 +112,7 @@ def minimize(
 ) -> OptimizationTrace:
     """Nelder-Mead with box projection; see module docstring for semantics."""
     x0 = require_reals("x0", x0)
-    lo = np.array([b[0] for b in config.bounds], dtype=np.float64)
-    hi = np.array([b[1] for b in config.bounds], dtype=np.float64)
+    lo, hi = np.array(config.bounds).T
     if x0.shape != lo.shape:
         raise ValueError(f"x0 has {x0.size} coordinates, bounds have {lo.size}")
     if not (np.all(lo <= x0) and np.all(x0 <= hi)):  # a NaN coordinate fails both
@@ -221,6 +223,8 @@ def default_ramp_scales(layers_q: int, penalty: float) -> tuple[float, float]:
             break
     else:
         target, beta_scale = _RAMP_DEFAULTS_DEEP
+    if not math.isfinite(penalty * target):
+        raise ValueError(f"penalty {penalty} times the ramp target {target} is not finite")
     k = max(1, round(penalty * target / (2.0 * np.pi)))
     gamma_scale = min(2.0 * np.pi * k / penalty, 2.0 * np.pi)
     return gamma_scale, beta_scale

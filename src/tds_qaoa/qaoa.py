@@ -243,10 +243,15 @@ class Circuit:
     def state(self, x, start=None) -> np.ndarray:
         """The state U(x) start, or U(x)|+> with no start, in a buffer; start enters as start * Phi*.
 
-        Every angle must be a finite real (run, the optimizer's path, does not check).
+        Every angle must be a finite real, and every cost phase gamma * energy
+        finite (run, the optimizer's path, does not check).
         """
-        for k, angle in enumerate(np.asarray(x, dtype=object).ravel()):
-            require_real(f"angle x[{k}]", angle)
+        angles = np.asarray(x, dtype=object).ravel()
+        largest = float(max(-self._levels[0], self._levels[-1]))  # the largest |energy|; levels are sorted
+        for k, angle in enumerate(angles):
+            angle = require_real(f"angle x[{k}]", angle)
+            if k < angles.size // 2 and not math.isfinite(angle * largest):
+                raise ValueError(f"angle x[{k}] = {angle} times the largest |energy| {largest} is not finite")
         if start is None:
             psi = self.run(x)
         else:

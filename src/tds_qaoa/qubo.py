@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (
-    MAX_TABLE_BITS, Graph, InfeasibleGraphError, require_integer, require_real, subset_sizes,
+    MAX_COUNT, MAX_TABLE_BITS, Graph, InfeasibleGraphError, require_integer, require_real, subset_sizes,
 )
 
 
@@ -204,9 +204,9 @@ def bits_to_index(bits: str | Sequence[int]) -> int:
 
 def index_to_bits(index: int, n_vars: int) -> str:
     """Bit string of length n_vars for a basis-state integer."""
-    n_vars = require_integer("n_vars", n_vars, 0)
+    n_vars = require_integer("n_vars", n_vars, 0, MAX_COUNT)
     index = require_integer("index", index)
-    if not 0 <= index < (1 << n_vars):
+    if index < 0 or index.bit_length() > n_vars:  # index < 2^n_vars, with no 2^n_vars built
         raise ValueError(f"index {index} out of range for {n_vars} variables")
     return format(index, f"0{n_vars}b") if n_vars else ""
 

@@ -16,14 +16,19 @@ import numpy as np
 import pytest
 
 from tds_qaoa import (
+    AngleSchedule,
     OptimizerConfig,
     RunConfig,
     StateVector,
     angle_bounds,
+    apply_cost_layer,
     bits_to_index,
+    build_energy_table,
     builtin_instance,
     compile_tdp_qubo,
     default_ramp_scales,
+    evolve,
+    index_to_bits,
     initial_angles,
     marginalize_vertices,
     minimize,
@@ -110,6 +115,35 @@ def test_numpy_grid_gives_equal_sweep_outputs(tmp_path, name, values):
     assert sweep_outputs(tmp_path / "twin", **{name: values}) == expected
 
 
+def sweep_files(out, **grid):
+    """rows.csv, summary.csv and sweep.json of a seed-3 sweep, as bytes, with runtime_ms zeroed."""
+    result = run_sweep(RunConfig(seed=3), n_seeds=2, **grid)
+    for row in result.rows:
+        row["runtime_ms"] = 0.0
+    write_sweep_outputs(result, out)
+    return [(out / name).read_bytes() for name in ("rows.csv", "summary.csv", "sweep.json")]
+
+
+@pytest.mark.parametrize("grid", [
+    dict(layer_values=[np.array(1), np.array(2)], maxiter_values=[np.array(5)]),
+    dict(
+        layer_values=[np.int64(1), np.uint8(2)],
+        multiplier_values=[np.float32(1.0), np.float32(1.5)],
+        maxiter_values=[np.int32(5)],
+    ),
+], ids=["0-d arrays", "numpy scalars"])
+def test_numpy_grid_values_give_identical_sweep_files(tmp_path, grid):
+    python_grid = dict(layer_values=[1, 2], multiplier_values=[1.0, 1.5], maxiter_values=[5])
+    expected = sweep_files(tmp_path / "python", **python_grid)
+    assert sweep_files(tmp_path / "twin", **{**python_grid, **grid}) == expected
+
+
+def test_repeated_0d_grid_value_rejected_by_name():
+    grid = dict(layer_values=[np.array(1), np.array(1)], multiplier_values=[1.5], maxiter_values=[5])
+    with pytest.raises(ValueError, match=r"^layer_values repeats a value: \[1, 1\]$"):
+        run_sweep(RunConfig(), **grid)
+
+
 @pytest.mark.parametrize("name, value, make", twins([("n_seeds", 2), ("workers", 1)], INTEGER_TWINS))
 def test_sweep_count_twin_gives_equal_sweep_outputs(tmp_path, name, value, make):
     expected = sweep_outputs(tmp_path / "python", **{name: value})
@@ -139,6 +173,22 @@ def test_optimizer_config_twin_gives_equal_trace(name, value, make):
     config, outputs = optimize_outputs(**{name: make(value)})
     assert outputs == optimize_outputs(**{name: value})[1]
     assert_python(getattr(config, name), type(value))
+
+
+def test_bounds_kept_as_float_pairs_apart_from_the_callers_list():
+    bounds = [(0, 1)]
+    config = OptimizerConfig(5, bounds)
+    bounds[0] = (2.0, -3.0)
+    assert config.bounds == ((0.0, 1.0),)
+    assert_python(config.bounds, tuple)
+    assert minimize(lambda x: float(x[0]), [0.5], config).n_evaluations == 5
+
+
+def test_numpy_bound_ends_read_back_as_python_floats():
+    config = OptimizerConfig(5, ((np.float32(0.25), np.int64(1)),))
+    assert config.bounds == ((0.25, 1.0),)
+    for end in config.bounds[0]:
+        assert_python(end, float)
 
 
 @pytest.mark.parametrize("make", INTEGER_TWINS.values(), ids=INTEGER_TWINS.keys())
@@ -176,3 +226,41 @@ def test_layer_count_past_max_count_rejected_by_name(call, name):
 def test_array_bit_item_rejected_by_name(item):
     with pytest.raises(ValueError, match=f"^bit string item {re.escape(repr(item))} is not 0 or 1$"):
         bits_to_index([item])
+
+
+PAPER6_TABLE = build_energy_table(compile_tdp_qubo(builtin_instance("paper6"), 9.0))  # largest |energy| 198
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: evolve(PAPER6_TABLE, AngleSchedule((0.5, 1e306), (0.5, 0.5))), "angle x[1] = 1e+306"),
+    (
+        lambda: apply_cost_layer(evolve(PAPER6_TABLE, AngleSchedule((0.5,), (0.5,))), PAPER6_TABLE, 1e308),
+        "angle x[0] = 1e+308",
+    ),
+], ids=["evolve", "apply_cost_layer"])
+def test_cost_angle_that_overflows_the_phase_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} times the largest \\|energy\\| 198.0 is not finite$"):
+        call()
+
+
+def test_cost_angle_check_leaves_mixer_angles_alone():
+    # 1e306 is a beta here: the mixer takes its cos and sin, which stay finite.
+    state = evolve(PAPER6_TABLE, AngleSchedule((0.5,), (1e306,)))
+    assert np.isfinite(state.amplitudes).all()
+
+
+def test_ramp_penalty_that_overflows_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^penalty 1e\+308 times the ramp target 2.1 is not finite$"):
+        default_ramp_scales(2, 1e308)
+
+
+def test_bit_width_past_max_count_rejected_by_name():
+    with pytest.raises(ValueError, match=f"^n_vars must be at most {2**63 - 1}, got {2**70}$"):
+        index_to_bits(5, 2**70)
+
+
+@pytest.mark.parametrize("index, n_vars", [(8, 3), (-1, 3), (1, 0), (2**70, 70)])
+def test_index_out_of_range_rejected(index, n_vars):
+    assert index_to_bits(2**n_vars - 1, n_vars) == "1" * n_vars
+    with pytest.raises(ValueError, match=f"^index {index} out of range for {n_vars} variables$"):
+        index_to_bits(index, n_vars)
