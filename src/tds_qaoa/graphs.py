@@ -125,6 +125,11 @@ class Graph:
         """Open neighborhood N(v), excluding v itself."""
         return self._adjacency[self._check_vertex(v)]
 
+    def neighbourhood_mask(self, v: int, closed: bool = False) -> int:
+        """N(v) as a subset index (N(v) + {v} if closed): bit n-1-j set for each member j; not stored."""
+        v = self._check_vertex(v)
+        return sum(1 << (self.n_vertices - 1 - j) for j in self._adjacency[v] | ({v} if closed else set()))
+
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self._adjacency)
 
@@ -197,10 +202,7 @@ def subset_table(g: Graph, closed: bool = False) -> tuple[np.ndarray, np.ndarray
     index = np.arange(1 << n, dtype=np.int32)
     valid = np.ones(1 << n, dtype=bool)
     for i in range(n):
-        required = sum(1 << (n - 1 - j) for j in g.neighbors(i))
-        if closed:
-            required |= 1 << (n - 1 - i)
-        valid &= (index & required) != 0
+        valid &= (index & g.neighbourhood_mask(i, closed)) != 0
     return valid, subset_sizes(n)
 
 

@@ -67,13 +67,13 @@ class OptimizerConfig:
                 lo, hi = interval
             except (TypeError, ValueError):
                 raise ValueError(f"bound interval {interval!r} is not a (low, high) pair") from None
-            # A bool or a string is no bound; NaN and inf make the interval unusable, as lo > hi does.
+            # A bool or a string is no bound; NaN, inf and a width past float range are unusable, as lo > hi is.
             lo, hi = (
                 end if isinstance(end, numbers.Real) and not math.isfinite(end)
                 else require_real("bounds", end)
                 for end in (lo, hi)
             )
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            if not (lo <= hi and math.isfinite(hi - lo)):
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
             bounds.append((lo, hi))
         object.__setattr__(self, "bounds", tuple(bounds))

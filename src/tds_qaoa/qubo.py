@@ -271,13 +271,12 @@ def build_energy_table(m: QuboModel) -> EnergyTable:
     groups = {grp.vertex: grp for grp in m.registry.slack_groups}
     violations = np.zeros((len(sizes), 1 << n_slack), dtype=np.int16)
     for i in range(g.n_vertices):
-        hits = sizes[subsets & sum(1 << (g.n_vertices - 1 - j) for j in g.neighbors(i))]
-        grp = groups.get(i)
-        if grp is None:  # |N(i)| <= 2: violated when D misses N(i)
-            violations += (hits == 0)[:, None]
+        met = subsets & g.neighbourhood_mask(i)  # D & N(i), the test subset_table makes
+        if (grp := groups.get(i)) is None:  # |N(i)| <= 2: violated when D misses N(i)
+            violations += (met == 0)[:, None]
         else:  # (|D & N(i)| - S_i - 1)^2 at each value of the slack S_i
             s_i = slack_bits[:, np.subtract(grp.indices, g.n_vertices)] @ grp.coefficients
-            violations += (hits[:, None] - s_i.astype(np.int16) - 1) ** 2
+            violations += (sizes[met][:, None] - s_i.astype(np.int16) - 1) ** 2
     energies = m.penalty * violations
     energies += sizes[:, None]
     return EnergyTable(n, energies.ravel())

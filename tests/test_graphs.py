@@ -111,6 +111,33 @@ class TestNeighbors:
             paper6.neighbors(6)
 
 
+class TestNeighbourhoodMask:
+    def test_paper6_vertex_2(self, paper6):
+        # N(2) = {1, 3, 4}: bits 4, 2 and 1 of a 6-bit index, vertex 0 most significant.
+        assert paper6.neighbourhood_mask(2) == 0b010110 == 22
+        assert paper6.neighbourhood_mask(2, closed=True) == 0b011110 == 30
+
+    def test_matches_the_formula_on_random_graphs(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 13):
+            g = random_graph(rng, n, edge_prob=0.4)
+            for v in range(n):
+                mask = sum(1 << (n - 1 - j) for j in g.neighbors(v))
+                assert g.neighbourhood_mask(v) == mask
+                assert g.neighbourhood_mask(v, closed=True) == mask | 1 << (n - 1 - v)
+
+    @pytest.mark.parametrize("v", [6, -1])
+    def test_bad_vertex_refused_by_name(self, paper6, v):
+        with pytest.raises(ValueError, match=re.escape(f"vertex {v} out of range [0, 6)")):
+            paper6.neighbourhood_mask(v)
+
+    def test_numpy_vertex_gives_the_exact_python_int(self):
+        # On C_100 vertex 0 holds bit 99; a numpy shift would wrap past 63 bits.
+        cycle = Graph(100, [(i, (i + 1) % 100) for i in range(100)])
+        mask = cycle.neighbourhood_mask(np.int64(0), closed=True)
+        assert type(mask) is int and mask == (1 << 99) | (1 << 98) | 1
+
+
 class TestValidity:
     def test_paper6_tds_true(self, paper6):
         assert is_total_dominating_set(paper6, {0, 4, 5})

@@ -241,6 +241,7 @@ class TestMinimize:
 
     @pytest.mark.parametrize("bound", [
         (float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 1.0), (0.0, float("inf")),
+        (-1e308, 1e308),  # finite ends, but the width the simplex steps scale with overflows
     ])
     def test_non_finite_bound_rejected(self, bound):
         with pytest.raises(ValueError, match="empty or not finite"):

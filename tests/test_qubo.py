@@ -32,9 +32,24 @@ from support import (
 )
 
 
-# SHA-256 of compile's JSON texts for the seeded graph family of
-# test_compile_bytes_match_the_recorded_digest.
+# SHA-256 of compile's JSON texts for the models of seeded_models.
 COMPILE_DIGEST = "fafb69f5e70d9dc4d1dac374c938be7c901c22ce24b3d99ef58cc8ce33e9e776"
+# SHA-256 of the energies of the same family's models over at most 16 variables.
+TABLE_DIGEST = "da4debef84039882a4624c5637036a681f194f36007a885a8a5079bfcf536332"
+
+
+def seeded_models():
+    """Three penalties on each of 200 seeded random graphs (2 to 15 vertices, no isolated vertex)."""
+    rng = random.Random(21)
+    for k in range(200):
+        n = 2 + k % 14
+        edge_prob = (0.25, 0.5, 0.8)[k % 3]
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob}
+        edges |= {(v, (v + 1) % n) if v < n - 1 else (0, v)
+                  for v in range(n) if not any(v in e for e in edges)}
+        g = Graph(n, edges)
+        for p in (0.37, 1.5 * n, 0.1 + 20.0 * rng.random()):
+            yield compile_tdp_qubo(g, p)
 
 
 def bits(s):
@@ -166,18 +181,20 @@ class TestCompile:
         # compile is pure Python float arithmetic and random.Random.random is
         # stable across Python versions, so these bytes hold on every host.
         # A change to how coefficients are summed moves this digest.
-        rng = random.Random(21)
         digest = hashlib.sha256()
-        for k in range(200):
-            n = 2 + k % 14
-            edge_prob = (0.25, 0.5, 0.8)[k % 3]
-            edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob}
-            edges |= {(v, (v + 1) % n) if v < n - 1 else (0, v)
-                      for v in range(n) if not any(v in e for e in edges)}
-            g = Graph(n, edges)
-            for p in (0.37, 1.5 * n, 0.1 + 20.0 * rng.random()):
-                digest.update(json.dumps(compile_tdp_qubo(g, p).to_dict()).encode() + b"\n")
+        for m in seeded_models():
+            digest.update(json.dumps(m.to_dict()).encode() + b"\n")
         assert digest.hexdigest() == COMPILE_DIGEST
+
+    def test_energy_table_bytes_match_the_recorded_digest(self):
+        # The table is integer counts (the slack sums are an integer matmul,
+        # outside BLAS), one IEEE multiply by P and one add per entry, so its
+        # bytes hold on every host.
+        digest = hashlib.sha256()
+        for m in seeded_models():
+            if m.n_vars <= 16:
+                digest.update(build_energy_table(m).energies.tobytes())
+        assert digest.hexdigest() == TABLE_DIGEST
 
     def test_graph_recorded_but_not_printed(self):
         g = builtin_instance()
