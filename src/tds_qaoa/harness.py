@@ -32,6 +32,7 @@ import pathlib
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import TextIO
 
 import numpy as np
@@ -59,10 +60,19 @@ DEFAULT_SWEEP_MAXITERS = (50, 100, 200, 500)
 TOP_K = 10
 CSV_BLOCK_ROWS = 1024
 
-ROW_FIELDS = (
-    "q", "P", "maxiter", "seed", "z_star", "is_tds", "is_min_tds",
-    "correct_prob", "optimal_prob", "final_cost", "evals", "runtime_ms", "error",
-)
+# Each run column of a sweep row: its name, how a finished run gives it, and
+# its value in a row whose run failed.
+_RUN_COLUMNS = {
+    "z_star": (attrgetter("z_star"), ""),
+    "is_tds": (attrgetter("z_star_is_tds"), False),
+    "is_min_tds": (attrgetter("z_star_is_minimal_tds"), False),
+    "correct_prob": (attrgetter("correct_probability"), ""),
+    "optimal_prob": (attrgetter("optimal_probability"), ""),
+    "final_cost": (attrgetter("trace.best_value"), ""),
+    "evals": (attrgetter("trace.n_evaluations"), 0),
+    "runtime_ms": (lambda result: round(result.runtime_ms, 3), 0.0),
+}
+ROW_FIELDS = ("q", "P", "maxiter", "seed", *_RUN_COLUMNS, "error")
 SUMMARY_FIELDS = (
     "q", "P", "maxiter", "n_seeds", "median_correct_prob", "median_optimal_prob",
     "tds_rate", "min_tds_rate", "cell_is_tds", "cell_is_min_tds",
@@ -318,13 +328,10 @@ def _dicts_to_csv(rows: list[dict], fields: tuple[str, ...]) -> str:
     return out.getvalue()
 
 
-def _sweep_row(config: RunConfig, replicate: int, error: str) -> dict:
-    """A sweep row: the cell's columns, the error, and the run's columns at their failure values."""
-    return {
-        "q": config.layers_q, "P": config.penalty, "maxiter": config.max_iterations,
-        "seed": replicate, "error": error, "z_star": "", "is_tds": False, "is_min_tds": False,
-        "correct_prob": "", "optimal_prob": "", "final_cost": "", "evals": 0, "runtime_ms": 0.0,
-    }
+def _sweep_row(config: RunConfig, replicate: int, error: str, result: RunResult | None = None) -> dict:
+    """A sweep row: the cell's columns, the error, and the run's columns (at their failure values without a result)."""
+    row = {"q": config.layers_q, "P": config.penalty, "maxiter": config.max_iterations, "seed": replicate, "error": error}
+    return row | {name: failed if result is None else read(result) for name, (read, failed) in _RUN_COLUMNS.items()}
 
 
 def _run_sweep_cell(config: RunConfig, graph: Graph, replicate: int) -> dict:
@@ -332,16 +339,7 @@ def _run_sweep_cell(config: RunConfig, graph: Graph, replicate: int) -> dict:
         result = run_single(config, graph=graph)
     except Exception as exc:
         return _sweep_row(config, replicate, f"{type(exc).__name__}: {exc}")
-    return _sweep_row(config, replicate, "") | dict(
-        z_star=result.z_star,
-        is_tds=result.z_star_is_tds,
-        is_min_tds=result.z_star_is_minimal_tds,
-        correct_prob=result.correct_probability,
-        optimal_prob=result.optimal_probability,
-        final_cost=result.trace.best_value,
-        evals=result.trace.n_evaluations,
-        runtime_ms=round(result.runtime_ms, 3),
-    )
+    return _sweep_row(config, replicate, "", result)
 
 
 def _run_pooled(tasks: list[tuple], workers: int) -> list[dict]:

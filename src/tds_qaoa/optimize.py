@@ -22,6 +22,7 @@ __all__ = [
     "minimize",
 ]
 
+import array
 import math
 import numbers
 from dataclasses import dataclass
@@ -81,24 +82,23 @@ class OptimizerConfig:
 
 @dataclass(eq=False)
 class OptimizationTrace:
-    """Every evaluated (point, value) in order, plus the running optimum."""
+    """Every evaluated point (one clipped point a row) and its cost, in order, plus the optimum."""
 
-    evaluations: list[tuple[np.ndarray, float]]
+    points: np.ndarray
+    costs: np.ndarray
     best_point: np.ndarray
     best_value: float
     termination_reason: str
 
     @property
     def n_evaluations(self) -> int:
-        return len(self.evaluations)
+        return len(self.costs)
 
     def values(self) -> list[float]:
-        return [v for _, v in self.evaluations]
+        return self.costs.tolist()
 
     def to_csv(self) -> str:
-        lines = ["evaluation_index,value"]
-        lines += [f"{i},{v!r}" for i, (_, v) in enumerate(self.evaluations)]
-        return "\n".join(lines) + "\n"
+        return "evaluation_index,value\n" + "".join([f"{i},{v!r}\n" for i, v in enumerate(self.costs.tolist())])
 
 
 class _BudgetExhausted(Exception):
@@ -113,20 +113,24 @@ def minimize(
     """Nelder-Mead with box projection; see module docstring for semantics."""
     x0 = require_reals("x0", x0)
     lo, hi = np.array(config.bounds).T
+    if x0.ndim != 1:
+        raise ValueError(f"x0 must be a 1-D array, got shape {x0.shape}")
     if x0.shape != lo.shape:
         raise ValueError(f"x0 has {x0.size} coordinates, bounds have {lo.size}")
     if not (np.all(lo <= x0) and np.all(x0 <= hi)):  # a NaN coordinate fails both
         raise ValueError(f"x0 lies outside the bounds, got {x0.tolist()}")
 
-    evaluations: list[tuple[np.ndarray, float]] = []
+    # Grown in place, with no Python object per evaluation; wrapped as arrays once, at the end.
+    points, costs = array.array("d"), array.array("d")
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, float]:
-        if len(evaluations) >= config.max_iterations:
+        if len(costs) >= config.max_iterations:
             raise _BudgetExhausted
         # np.clip's result, about twice as fast.
         xc = np.minimum(np.maximum(x, lo), hi)
         value = float(objective(xc))
-        evaluations.append((xc, value))
+        points.frombytes(xc.tobytes())
+        costs.append(value)
         return xc, value
 
     dim = x0.size
@@ -183,14 +187,9 @@ def minimize(
     except _BudgetExhausted:
         termination = TERMINATION_BUDGET
 
-    best_index = int(np.argmin([v for _, v in evaluations]))
-    best_point, best_value = evaluations[best_index]
-    return OptimizationTrace(
-        evaluations=evaluations,
-        best_point=best_point,
-        best_value=best_value,
-        termination_reason=termination,
-    )
+    points, costs = np.frombuffer(points).reshape(-1, dim), np.frombuffer(costs)
+    best = int(np.argmin(costs))
+    return OptimizationTrace(points, costs, points[best], float(costs[best]), termination)
 
 
 def angle_bounds(q: int) -> tuple[tuple[float, float], ...]:

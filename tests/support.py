@@ -545,7 +545,8 @@ def reference_minimize(objective, x0, config: OptimizerConfig) -> OptimizationTr
     best_index = int(np.argmin([v for _, v in evaluations]))
     best_point, best_value = evaluations[best_index]
     return OptimizationTrace(
-        evaluations=evaluations,
+        points=np.array([p for p, _ in evaluations]),
+        costs=np.array([v for _, v in evaluations]),
         best_point=best_point,
         best_value=best_value,
         termination_reason=termination,

@@ -54,6 +54,8 @@ def test_full_tracer_records_run_spans(tracer_module, tmp_path):
     for name in ("harness.run_single", "optimize.minimize", "qaoa.evolve", "harness.write_run_outputs"):
         assert name in names
     assert counts.get("harness.bytes_written", 0) > 0
+    # The numerator of evals_per_s: the run's three evaluations, read through trace.values().
+    assert counts["optimize.evals"] == 3
     metrics = tracer_module.layer_metrics(spans, counts, values)
     assert metrics["harness.bytes_written"] == counts["harness.bytes_written"]
 

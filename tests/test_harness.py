@@ -323,7 +323,7 @@ def _tied_result() -> RunResult:
         config=RunConfig(),
         penalty=4.5,
         optimized_schedule=AngleSchedule((0.5,), (0.5,)),
-        trace=OptimizationTrace([(np.array([0.5, 0.5]), 1.0)], np.array([0.5, 0.5]), 1.0, "converged"),
+        trace=OptimizationTrace(np.array([[0.5, 0.5]]), np.array([1.0]), np.array([0.5, 0.5]), 1.0, "converged"),
         z_star="001",
         z_star_is_tds=False,
         z_star_is_minimal_tds=False,
@@ -337,7 +337,7 @@ def _tied_result() -> RunResult:
 @pytest.mark.parametrize("make", [
     lambda: EnergyTable(2, [0.0, 1.0, 2.0, 3.0]),
     lambda: StateVector(1, np.array([1.0, 0.0], dtype=complex)),
-    lambda: OptimizationTrace([(np.array([0.5]), 1.0)], np.array([0.5]), 1.0, "converged"),
+    lambda: OptimizationTrace(np.array([[0.5]]), np.array([1.0]), np.array([0.5]), 1.0, "converged"),
     _tied_result,
 ], ids=["EnergyTable", "StateVector", "OptimizationTrace", "RunResult"])
 def test_array_holders_compare_and_hash_by_identity(make):
@@ -523,6 +523,25 @@ class TestRunSweep:
         assert result.rows[1]["P"] == 2.0
         assert [s["q"] for s in result.summaries] == [1]
         assert [list(row) for row in result.rows] == [SWEEP_ROW_KEYS] * 2
+
+    def test_row_columns(self, edge_graph_path, monkeypatch):
+        """rows.csv's header, and one key order for failed and finished rows (sweep.json keeps it)."""
+        assert ROW_FIELDS == (
+            "q", "P", "maxiter", "seed", "z_star", "is_tds", "is_min_tds",
+            "correct_prob", "optimal_prob", "final_cost", "evals", "runtime_ms", "error",
+        )
+        config = RunConfig(graph_source=edge_graph_path, penalty=2.0, max_iterations=5, shots=100)
+        graph = harness.load_graph(edge_graph_path)
+        finished = harness._run_sweep_cell(config, graph, 0)
+
+        def fail(config, graph=None):
+            raise RuntimeError("cell blew up")
+
+        monkeypatch.setattr(harness, "run_single", fail)
+        failed = harness._run_sweep_cell(config, graph, 0)
+        assert (finished["error"], failed["error"]) == ("", "RuntimeError: cell blew up")
+        assert list(finished) == list(failed) == SWEEP_ROW_KEYS
+        assert sorted(SWEEP_ROW_KEYS) == sorted(ROW_FIELDS)
 
     def test_cells_carry_their_resolved_penalty(self, edge_graph_path, monkeypatch):
         run_single = harness.run_single

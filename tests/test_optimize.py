@@ -1,4 +1,6 @@
+import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from tds_qaoa import (
     initial_angles,
     minimize,
 )
+from tds_qaoa.graphs import MAX_COUNT
 from tds_qaoa.harness import derive_seed
 from tds_qaoa.optimize import TERMINATION_BUDGET, TERMINATION_TOLERANCE
 from support import reference_minimize
@@ -161,13 +164,19 @@ class TestMinimize:
         with pytest.raises(ValueError, match="x0 has 3 coordinates, bounds have 2"):
             minimize(_forbidden_objective, [0.5] * 3, config)
 
+    def test_x0_that_is_not_1d_rejected_by_its_shape(self):
+        config = OptimizerConfig(5, ((0, 1),))
+        for x0, shape in [(0.5, "()"), ([[0.5]], "(1, 1)")]:
+            with pytest.raises(ValueError, match=re.escape(f"x0 must be a 1-D array, got shape {shape}")):
+                minimize(_forbidden_objective, x0, config)
+
     @pytest.mark.parametrize("x0, direction", [(0.0, 1.0), (1.0, -1.0)])
     def test_initial_step_goes_the_one_way_that_fits(self, x0, direction):
         """At a bound only one direction fits inside, so the first step takes it: no clipping."""
         for seed in range(4):
             config = OptimizerConfig(max_iterations=2, bounds=((0.0, 1.0),), seed=seed)
             trace = minimize(quadratic_1d, [x0], config)
-            step = trace.evaluations[1][0][0] - x0
+            step = trace.points[1, 0] - x0
             assert np.sign(step) == direction and 0.005 < abs(step) < 0.035
             _assert_same_trace(trace, reference_minimize(quadratic_1d, [x0], config))
 
@@ -181,7 +190,7 @@ class TestMinimize:
         )
         lo = np.array([b[0] for b in bounds])
         hi = np.array([b[1] for b in bounds])
-        for point, _ in trace.evaluations:
+        for point in trace.points:
             assert np.all(point >= lo) and np.all(point <= hi)
 
     def test_best_value_is_running_minimum(self):
@@ -197,10 +206,7 @@ class TestMinimize:
         t1 = minimize(lambda x: float(np.sum((x - 0.3) ** 2)), [1.0, -1.0], config)
         t2 = minimize(lambda x: float(np.sum((x - 0.3) ** 2)), [1.0, -1.0], config)
         assert t1.best_value == t2.best_value
-        assert all(
-            np.array_equal(p1, p2) and v1 == v2
-            for (p1, v1), (p2, v2) in zip(t1.evaluations, t2.evaluations)
-        )
+        assert np.array_equal(t1.points, t2.points) and t1.values() == t2.values()
 
     def test_seed_varies_search(self):
         def f(x):
@@ -274,10 +280,38 @@ class TestMinimize:
         assert lines[1].startswith("0,")
 
 
+class TestTraceStorage:
+    @pytest.mark.parametrize("q, limit", [(2, 48), (20, 360)])
+    def test_held_bytes_per_evaluation(self, q, limit):
+        """About (2q + 1) float64 per evaluation: array.array's over-allocation of ~1/16, and no object per evaluation."""
+        n = 20_000
+        config = OptimizerConfig(n, angle_bounds(q))
+        x0 = initial_angles(q, 1.0, 1.0).as_vector()
+        counter = itertools.count()  # rising values: the simplex keeps x0's 0 and never converges
+        minimize(quadratic_1d, x0, OptimizerConfig(1, config.bounds))  # the first call's imports are not the trace's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = minimize(lambda x: float(next(counter)), x0, config)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.n_evaluations == n and trace.termination_reason == TERMINATION_BUDGET
+        assert held / n <= limit
+
+    def test_unbounded_budget_stops_on_tolerance(self):
+        """A budget of MAX_COUNT allocates nothing up front: a flat objective stops after the simplex."""
+        dim = 3
+        trace = minimize(lambda x: 1.0, [0.5] * dim, OptimizerConfig(MAX_COUNT, ((0.0, 1.0),) * dim))
+        assert trace.termination_reason == TERMINATION_TOLERANCE
+        assert trace.n_evaluations == dim + 1
+        assert trace.points.shape == (dim + 1, dim)
+
+
 def _assert_same_trace(trace, expected):
     assert trace.termination_reason == expected.termination_reason
     assert trace.values() == expected.values()
-    assert all(np.array_equal(p, e) for (p, _), (e, _) in zip(trace.evaluations, expected.evaluations))
+    assert np.array_equal(trace.points, expected.points)
     assert np.array_equal(trace.best_point, expected.best_point)
     assert trace.best_value == expected.best_value
 
