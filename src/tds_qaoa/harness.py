@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 import csv
-import io
 import itertools
 import json
 import pathlib
@@ -73,10 +72,18 @@ _RUN_COLUMNS = {
     "runtime_ms": (lambda result: round(result.runtime_ms, 3), 0.0),
 }
 ROW_FIELDS = ("q", "P", "maxiter", "seed", *_RUN_COLUMNS, "error")
-SUMMARY_FIELDS = (
-    "q", "P", "maxiter", "n_seeds", "median_correct_prob", "median_optimal_prob",
-    "tds_rate", "min_tds_rate", "cell_is_tds", "cell_is_min_tds",
-)
+
+# Each summary column after q, P and maxiter: how a cell's finished rows give it.
+_SUMMARY_COLUMNS = {
+    "n_seeds": len,
+    "median_correct_prob": lambda cell: float(np.median([r["correct_prob"] for r in cell])),
+    "median_optimal_prob": lambda cell: float(np.median([r["optimal_prob"] for r in cell])),
+    "tds_rate": lambda cell: float(np.mean([r["is_tds"] for r in cell])),
+    "min_tds_rate": lambda cell: float(np.mean([r["is_min_tds"] for r in cell])),
+    "cell_is_tds": lambda cell: _SUMMARY_COLUMNS["tds_rate"](cell) >= 0.5,
+    "cell_is_min_tds": lambda cell: _SUMMARY_COLUMNS["min_tds_rate"](cell) >= 0.5,
+}
+SUMMARY_FIELDS = ("q", "P", "maxiter", *_SUMMARY_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -320,14 +327,6 @@ class SweepResult:
     n_cells_min_tds: int
 
 
-def _dicts_to_csv(rows: list[dict], fields: tuple[str, ...]) -> str:
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=fields)
-    writer.writeheader()
-    writer.writerows(rows)
-    return out.getvalue()
-
-
 def _sweep_row(config: RunConfig, replicate: int, error: str, result: RunResult | None = None) -> dict:
     """A sweep row: the cell's columns, the error, and the run's columns (at their failure values without a result)."""
     row = {"q": config.layers_q, "P": config.penalty, "maxiter": config.max_iterations, "seed": replicate, "error": error}
@@ -434,20 +433,7 @@ def run_sweep(
     finished = (row for row in rows if not row["error"])
     for (q, penalty, maxiter), cell in itertools.groupby(finished, lambda r: (r["q"], r["P"], r["maxiter"])):
         cell = list(cell)
-        tds_rate = float(np.mean([r["is_tds"] for r in cell]))
-        min_rate = float(np.mean([r["is_min_tds"] for r in cell]))
-        summaries.append({
-            "q": q,
-            "P": penalty,
-            "maxiter": maxiter,
-            "n_seeds": len(cell),
-            "median_correct_prob": float(np.median([r["correct_prob"] for r in cell])),
-            "median_optimal_prob": float(np.median([r["optimal_prob"] for r in cell])),
-            "tds_rate": tds_rate,
-            "min_tds_rate": min_rate,
-            "cell_is_tds": tds_rate >= 0.5,
-            "cell_is_min_tds": min_rate >= 0.5,
-        })
+        summaries.append({"q": q, "P": penalty, "maxiter": maxiter} | {name: f(cell) for name, f in _SUMMARY_COLUMNS.items()})
     return SweepResult(
         rows=rows,
         summaries=summaries,
@@ -471,6 +457,9 @@ def write_sweep_outputs(result: SweepResult, out_dir) -> None:
     """Write rows.csv, summary.csv, and sweep.json into out_dir."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "rows.csv").write_text(_dicts_to_csv(result.rows, ROW_FIELDS))
-    (out / "summary.csv").write_text(_dicts_to_csv(result.summaries, SUMMARY_FIELDS))
+    for name, dicts, fields in (("rows.csv", result.rows, ROW_FIELDS), ("summary.csv", result.summaries, SUMMARY_FIELDS)):
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer.writeheader()
+            writer.writerows(dicts)
     (out / "sweep.json").write_text(json.dumps(asdict(result), indent=2) + "\n")

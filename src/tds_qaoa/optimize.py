@@ -5,7 +5,8 @@ projection: every candidate point is clipped into the bounds before it is
 evaluated, so the objective never sees an out-of-bounds point. It stops when
 the spread of function values across the simplex drops below the function
 tolerance, or when the evaluation budget is exhausted (a hard cap on
-objective calls). The full evaluation history is returned as a trace.
+objective calls). The full evaluation history is returned as a trace. A NaN
+objective value raises ValueError; +-inf values are ordered and kept.
 
 The seed perturbs the initial simplex geometry only; runs are bit
 reproducible for a fixed (objective, x0, config).
@@ -129,6 +130,8 @@ def minimize(
         # np.clip's result, about twice as fast.
         xc = np.minimum(np.maximum(x, lo), hi)
         value = float(objective(xc))
+        if math.isnan(value):  # unordered: argmin would take it as the best value
+            raise ValueError(f"objective returned nan at evaluation {len(costs)}")
         points.frombytes(xc.tobytes())
         costs.append(value)
         return xc, value

@@ -34,6 +34,7 @@ from tds_qaoa import (
 from tds_qaoa import harness
 from tds_qaoa.harness import (
     ROW_FIELDS,
+    SUMMARY_FIELDS,
     derive_seed,
     write_run_outputs,
     write_sweep_outputs,
@@ -542,6 +543,30 @@ class TestRunSweep:
         assert (finished["error"], failed["error"]) == ("", "RuntimeError: cell blew up")
         assert list(finished) == list(failed) == SWEEP_ROW_KEYS
         assert sorted(SWEEP_ROW_KEYS) == sorted(ROW_FIELDS)
+
+    def test_summary_columns(self, edge_graph_path, monkeypatch, tmp_path):
+        """summary.csv's header, and each summary's key order (sweep.json keeps it); a failed cell has rows but no summary."""
+        assert SUMMARY_FIELDS == (
+            "q", "P", "maxiter", "n_seeds", "median_correct_prob", "median_optimal_prob",
+            "tds_rate", "min_tds_rate", "cell_is_tds", "cell_is_min_tds",
+        )
+        run_single = harness.run_single
+
+        def fail_for_q2(config, graph=None):
+            if config.layers_q == 2:
+                raise RuntimeError("cell blew up at q=2")
+            return run_single(config, graph=graph)
+
+        monkeypatch.setattr(harness, "run_single", fail_for_q2)
+        base = RunConfig(graph_source=edge_graph_path, seed=0, shots=100)
+        result = run_sweep(base, layer_values=(1, 2, 3), multiplier_values=(1.0,), maxiter_values=(5,), n_seeds=2)
+        assert [row["q"] for row in result.rows] == [1, 1, 2, 2, 3, 3]
+        assert [(s["q"], s["n_seeds"]) for s in result.summaries] == [(1, 2), (3, 2)]
+        assert [list(s) for s in result.summaries] == [list(SUMMARY_FIELDS)] * 2
+        write_sweep_outputs(result, tmp_path)
+        saved = json.loads((tmp_path / "sweep.json").read_text())["summaries"]
+        assert [list(s) for s in saved] == [list(SUMMARY_FIELDS)] * 2
+        assert (tmp_path / "summary.csv").read_bytes().split(b"\r\n")[0] == ",".join(SUMMARY_FIELDS).encode()
 
     def test_cells_carry_their_resolved_penalty(self, edge_graph_path, monkeypatch):
         run_single = harness.run_single

@@ -170,7 +170,24 @@ class TestMinimize:
             with pytest.raises(ValueError, match=re.escape(f"x0 must be a 1-D array, got shape {shape}")):
                 minimize(_forbidden_objective, x0, config)
 
-    @pytest.mark.parametrize("x0, direction", [(0.0, 1.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("bad, outcome", [(np.nan, "raises"), (np.inf, "kept"), (-np.inf, "kept")])
+    def test_non_finite_value_on_the_third_call(self, bad, outcome):
+        """A NaN is refused by its evaluation index, not taken as the optimum; +-inf are ordered and kept."""
+        calls = itertools.count()
+
+        def objective(x):
+            return bad if next(calls) == 2 else float((x[0] - 0.3) ** 2 + x[1] ** 2)
+
+        config = OptimizerConfig(40, ((0.0, 1.0),) * 2)
+        if outcome == "raises":
+            with pytest.raises(ValueError, match="^objective returned nan at evaluation 2$"):
+                minimize(objective, [0.5, 0.5], config)
+            return
+        trace = minimize(objective, [0.5, 0.5], config)
+        assert trace.costs[2] == bad
+        assert trace.best_value == (bad if bad < 0 else min(v for v in trace.values() if v != bad))
+
+    @pytest.mark.parametrize("x0, direction",[(0.0, 1.0), (1.0, -1.0)])
     def test_initial_step_goes_the_one_way_that_fits(self, x0, direction):
         """At a bound only one direction fits inside, so the first step takes it: no clipping."""
         for seed in range(4):
