@@ -29,7 +29,7 @@ __all__ = [
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -76,6 +76,7 @@ class InfeasibleGraphError(ValueError):
     """Raised when a graph admits no total dominating set (isolated vertex)."""
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected simple graph on vertices 0..n_vertices-1.
 
@@ -84,15 +85,18 @@ class Graph:
     construction and safe to share across threads.
     """
 
-    __slots__ = ("n_vertices", "edges", "_adjacency")
+    n_vertices: int
+    edges: tuple[tuple[int, int], ...]
+    _adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(self, n_vertices: int, edges: Iterable[tuple[int, int]]):
-        self.n_vertices = n = require_integer("n_vertices", n_vertices, 0)
+    def __post_init__(self):
+        n = require_integer("n_vertices", self.n_vertices, 0)
         if n > MAX_GRAPH_VERTICES:
             raise ValueError(f"graphs are limited to {MAX_GRAPH_VERTICES} vertices, got {n}")
 
         canonical: set[tuple[int, int]] = set()
-        for edge in edges:
+        adjacency: list[set[int]] = [set() for _ in range(n)]
+        for edge in self.edges:
             try:
                 u, v = edge
             except (TypeError, ValueError):
@@ -109,13 +113,11 @@ class Graph:
             if key in canonical:
                 raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
             canonical.add(key)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canonical))
-
-        adjacency: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for u, v in self.edges:
             adjacency[u].add(v)
             adjacency[v].add(u)
-        self._adjacency = tuple(frozenset(s) for s in adjacency)
+        object.__setattr__(self, "n_vertices", n)
+        object.__setattr__(self, "edges", tuple(sorted(canonical)))
+        object.__setattr__(self, "_adjacency", tuple(map(frozenset, adjacency)))
 
     @property
     def n_edges(self) -> int:
@@ -141,17 +143,6 @@ class Graph:
 
     def _check_subset(self, d: Iterable[int]) -> frozenset[int]:
         return frozenset(map(self._check_vertex, d))
-
-    def __repr__(self) -> str:
-        return f"Graph(n_vertices={self.n_vertices}, edges={list(self.edges)})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n_vertices == other.n_vertices and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n_vertices, self.edges))
 
 
 @dataclass(frozen=True)

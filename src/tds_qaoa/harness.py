@@ -236,7 +236,8 @@ def compute_metrics(dist: np.ndarray, g: Graph) -> dict:
         raise ValueError(f"expected {size} vertex-subset probabilities, got shape {probs.shape}")
     if not (probs >= 0).all():
         raise ValueError("distribution has a negative or NaN entry")
-    total = probs.sum()
+    with np.errstate(over="ignore"):  # an overflowing total is inf, which the check refuses
+        total = probs.sum()
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"distribution is not normalized: total mass {total}")
     valid, sizes = subset_table(g)
@@ -258,6 +259,7 @@ def derive_seed(base: int, *tags: int) -> int:
     2 and 3; run_sweep derives each replicate's seed from
     (q, round(P * 1e6), maxiter, replicate).
     """
+    base = require_integer("base", base)  # a Python int: a numpy one would take the modulus in int64
     return int(np.random.SeedSequence([base % (1 << 63), *tags]).generate_state(1)[0])
 
 

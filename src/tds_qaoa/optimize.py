@@ -25,7 +25,6 @@ __all__ = [
 
 import array
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,13 +68,8 @@ class OptimizerConfig:
                 lo, hi = interval
             except (TypeError, ValueError):
                 raise ValueError(f"bound interval {interval!r} is not a (low, high) pair") from None
-            # A bool or a string is no bound; NaN, inf and a width past float range are unusable, as lo > hi is.
-            lo, hi = (
-                end if isinstance(end, numbers.Real) and not math.isfinite(end)
-                else require_real("bounds", end)
-                for end in (lo, hi)
-            )
-            if not (lo <= hi and math.isfinite(hi - lo)):
+            lo, hi = require_real("bounds", lo), require_real("bounds", hi)
+            if not (lo <= hi and math.isfinite(hi - lo)):  # a width past float range is as unusable as lo > hi
                 raise ValueError(f"bound interval ({lo}, {hi}) is empty or not finite")
             bounds.append((lo, hi))
         object.__setattr__(self, "bounds", tuple(bounds))

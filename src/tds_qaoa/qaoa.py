@@ -67,7 +67,7 @@ _QUARTER_TURNS.setflags(write=False)
 
 @dataclass(eq=False)
 class StateVector:
-    """2^n_qubits complex amplitudes over computational basis states; checked when built, not copied."""
+    """2^n_qubits complex amplitudes over basis states, with a finite squared norm; checked when built, not copied."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -76,6 +76,9 @@ class StateVector:
         self.n_qubits = n = require_integer("n_qubits", self.n_qubits, 1, MAX_TABLE_BITS)
         if np.shape(self.amplitudes) != (1 << n,):
             raise ValueError(f"state of {n} qubits has amplitudes of shape {np.shape(self.amplitudes)}")
+        amplitudes = np.asarray(self.amplitudes)  # an array is read as is; vdot allocates nothing
+        if amplitudes.dtype.kind not in "iufc" or not np.isfinite(np.vdot(amplitudes, amplitudes)):
+            raise ValueError(f"state must hold numbers with a finite squared norm, got {amplitudes.dtype}")
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -258,6 +261,7 @@ class Circuit:
             psi, frame = self._buffers
             if np.shape(start) != psi.shape:
                 raise ValueError(f"start state of shape {np.shape(start)} is not {psi.shape}")
+            StateVector(self.table.n_vars, start)  # the state rule: numbers with a finite squared norm
             _fill_frame(frame, 1, 1.0)
             np.multiply(start, frame, out=psi)
             psi = self._layers(x)
@@ -351,7 +355,8 @@ def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     probs = np.asarray(probs)
     if probs.ndim != 1 or probs.dtype.kind not in "iuf":
         raise ValueError(f"probs must be a 1-D array of reals, got shape {probs.shape} of {probs.dtype}")
-    total = probs.sum()
+    with np.errstate(over="ignore"):  # an overflowing total is inf, which the check refuses
+        total = probs.sum()
     if not (0 < total < math.inf and probs.min() >= 0):
         raise ValueError(f"probs must be non-negative with a positive finite total, got total {total}")
     return np.random.default_rng(seed).multinomial(shots, probs / total)

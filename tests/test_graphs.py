@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -83,7 +85,13 @@ class TestConstruction:
 class TestValueSemantics:
     def test_repr_round_trips(self, paper6):
         assert eval(repr(paper6), {"Graph": Graph}) == paper6
-        assert repr(Graph(3, [(2, 1), (1, 0)])) == "Graph(n_vertices=3, edges=[(0, 1), (1, 2)])"
+        assert repr(Graph(3, [(2, 1), (1, 0)])) == "Graph(n_vertices=3, edges=((0, 1), (1, 2)))"
+
+    def test_read_only_and_picklable(self, paper6):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            paper6.n_vertices = 7
+        copy = pickle.loads(pickle.dumps(paper6))
+        assert copy == paper6 and copy.neighbors(2) == paper6.neighbors(2) == {1, 3, 4}
 
     def test_equal_graphs_hash_equal(self):
         a, b = Graph(3, [(1, 0), (2, 1)]), Graph(3, [(1, 2), (0, 1)])

@@ -5,27 +5,35 @@ the value the rule returns. So a numpy integer, a 0-d integer array or a numpy
 float reads back as a Python int or float, and the written outputs equal those
 of the Python scalar byte for byte (apart from runtime_ms). Each value below is
 exact in every twin type.
+
+Hostile arrays (huge, NaN, inf or object entries) given to an array entry
+point are refused by a ValueError that names the input, with no RuntimeWarning.
 """
 
 import csv
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from tds_qaoa import (
     AngleSchedule,
+    Circuit,
+    EnergyTable,
     OptimizerConfig,
     RunConfig,
     StateVector,
     angle_bounds,
     apply_cost_layer,
     bits_to_index,
+    apply_mixer_layer,
     build_energy_table,
     builtin_instance,
     compile_tdp_qubo,
+    compute_metrics,
     default_ramp_scales,
     evolve,
     index_to_bits,
@@ -36,7 +44,7 @@ from tds_qaoa import (
     run_sweep,
     sample,
 )
-from tds_qaoa.harness import write_run_outputs, write_sweep_outputs
+from tds_qaoa.harness import derive_seed, write_run_outputs, write_sweep_outputs
 
 INTEGER_TWINS = {"int64": np.int64, "int32": np.int32, "uint16": np.uint16, "0-d array": np.array}
 REAL_TWINS = {"float32": np.float32, "float16": np.float16}
@@ -264,3 +272,73 @@ def test_index_out_of_range_rejected(index, n_vars):
     assert index_to_bits(2**n_vars - 1, n_vars) == "1" * n_vars
     with pytest.raises(ValueError, match=f"^index {index} out of range for {n_vars} variables$"):
         index_to_bits(index, n_vars)
+
+
+@pytest.mark.parametrize("make", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_integer_base_gives_the_python_seed(make):
+    assert derive_seed(make(3), 1) == derive_seed(3, 1) == 457190280
+
+
+def test_array_base_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^base must be an integer, got array\(\[3\]\)$"):
+        derive_seed(np.array([3]), 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: compute_metrics(np.full(64, 1e308), builtin_instance()), "distribution is not normalized: total mass inf"),
+    (
+        lambda: sample(np.full(64, 1e308), 10, 0),
+        "probs must be non-negative with a positive finite total, got total inf",
+    ),
+], ids=["compute_metrics", "sample"])
+def test_overflowing_total_refused_without_a_warning(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+STATE_FAULTS = {"object": np.full(64, 0.125, dtype=object), "inf": np.full(64, np.inf + 0j)}
+
+
+@pytest.mark.parametrize("amplitudes", STATE_FAULTS.values(), ids=STATE_FAULTS.keys())
+def test_state_of_non_finite_numbers_rejected_before_a_layer(amplitudes):
+    message = f"^state must hold numbers with a finite squared norm, got {amplitudes.dtype}$"
+    with pytest.raises(ValueError, match=message):
+        apply_mixer_layer(StateVector(6, amplitudes), 0.3)
+    table = EnergyTable(6, np.zeros(64))
+    with pytest.raises(ValueError, match=message):
+        Circuit(table).state([0.3, 0.3], amplitudes)
+    with pytest.raises(ValueError, match=r"^start state of shape \(32,\) is not \(64,\)$"):
+        Circuit(table).state([0.3, 0.3], amplitudes[:32])
+
+
+PAPER6 = builtin_instance("paper6")
+HOSTILE_VALUES = {"1e308": 1e308, "-1e308": -1e308, "nan": np.nan, "inf": np.inf, "object": None}
+
+# Entry point: (the name its refusals start with, the call, the input's size and dtype).
+ARRAY_ENTRY_POINTS = {
+    "compute_metrics": ("dist", lambda a: compute_metrics(a, PAPER6), 64, float),
+    "sample": ("probs", lambda a: sample(a, 10, 0), 64, float),
+    "StateVector": ("state", lambda a: StateVector(6, a), 64, complex),
+    "Circuit.state_start": ("state", lambda a: Circuit(PAPER6_TABLE).state([0.3, 0.3], a), 1024, complex),
+    "EnergyTable": ("energy table", lambda a: EnergyTable(6, a), 64, float),
+    "minimize_x0": ("x0", lambda a: minimize(lambda x: 0.0, a, OptimizerConfig(5, ((0.0, 1.0),) * 2)), 2, float),
+}
+
+# Any finite energy is a valid table entry: the cost layer refuses an angle whose phase overflows.
+ACCEPTED = {("EnergyTable", "1e308"), ("EnergyTable", "-1e308")}
+
+
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+@pytest.mark.parametrize("label", HOSTILE_VALUES)
+def test_hostile_array_refused_by_name_without_a_warning(entry, label):
+    name, call, size, dtype = ARRAY_ENTRY_POINTS[entry]
+    value = HOSTILE_VALUES[label]
+    # An object array holds valid numbers: only its dtype is at fault.
+    values = np.full(size, 1.0 / size, dtype=object) if value is None else np.full(size, value, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if (entry, label) in ACCEPTED:
+            call(values)
+        else:
+            with pytest.raises(ValueError, match=f"^{name}"):
+                call(values)

@@ -262,12 +262,16 @@ class TestMinimize:
         with pytest.raises(ValueError, match=message):
             OptimizerConfig(5, ((0.0, 1.0),), function_tolerance=tolerance)
 
-    @pytest.mark.parametrize("bound", [
-        (float("nan"), 1.0), (0.0, float("nan")), (float("-inf"), 1.0), (0.0, float("inf")),
-        (-1e308, 1e308),  # finite ends, but the width the simplex steps scale with overflows
+    @pytest.mark.parametrize("bound, message", [
+        pytest.param((float("nan"), 1.0), "bounds must be finite, got nan", id="bound0"),
+        pytest.param((0.0, float("nan")), "bounds must be finite, got nan", id="bound1"),
+        pytest.param((float("-inf"), 1.0), "bounds must be finite, got -inf", id="bound2"),
+        pytest.param((0.0, float("inf")), "bounds must be finite, got inf", id="bound3"),
+        # Finite ends, but the width the simplex steps scale with overflows.
+        pytest.param((-1e308, 1e308), "empty or not finite", id="bound4"),
     ])
-    def test_non_finite_bound_rejected(self, bound):
-        with pytest.raises(ValueError, match="empty or not finite"):
+    def test_non_finite_bound_rejected(self, bound, message):
+        with pytest.raises(ValueError, match=message):
             OptimizerConfig(5, ((0.0, 1.0), bound))
 
     @pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), (1.0,), 1.0, None, np.zeros(3)])
