@@ -382,17 +382,17 @@ def run_sweep(
 ) -> SweepResult:
     """Run the Cartesian (q, P multiplier, maxiter) grid with replicate seeds.
 
-    One row per (cell, replicate); one summary per cell aggregating over
-    replicates. base.seed is the sweep-level seed from which every replicate
-    seed is derived. The grid owns q, P and maxiter: each value takes the rule
-    of the RunConfig field it sets, before the graph loads, so a base with
-    penalty set is refused. A bad file, an infeasible graph, a bad or repeated
-    grid value, a penalty too large for exact energies, a model past the energy
-    table's MAX_TABLE_BITS variables, or a bad n_seeds or workers raises
-    before any cell runs; the pre-flight is one compile, at the largest
-    penalty. A cell that fails while running, or whose worker process dies
-    twice (see _run_pooled), gets its error in the row's error column and
-    does not stop the sweep.
+    One row per (cell, replicate), in (q, P, maxiter, seed) order whatever the
+    order of the lists; one summary per cell. Every replicate seed derives from
+    base.seed. The grid owns q, P and maxiter: each value takes the rule of the
+    RunConfig field it sets, before the graph loads, so a base with penalty set
+    is refused. A bad file, an infeasible graph, a bad or repeated grid value,
+    multipliers that resolve to one penalty, a penalty too large for exact
+    energies, a model past the energy table's MAX_TABLE_BITS variables, or a
+    bad n_seeds or workers raises before any cell runs; the pre-flight is one
+    compile, at the largest penalty. A cell that fails while running, or whose
+    worker process dies twice (see _run_pooled), gets its error in the row's
+    error column and does not stop the sweep.
     """
     n_seeds = require_integer("n_seeds", n_seeds, 1)
     workers = require_integer("workers", workers, 1)
@@ -405,31 +405,29 @@ def run_sweep(
         values = [getattr(replace(base, **{setting: v}), setting) for v in values]  # as RunConfig keeps it
         if len(set(values)) != len(values):
             raise ValueError(f"{name} repeats a value: {values}")
-        grid.append(values)
+        grid.append(sorted(values))
     layer_values, multiplier_values, maxiter_values = grid
     g = load_graph(base.graph_source)
-    # Of the compile's checks only the 2^53 one depends on P, and it grows with
-    # P: one compile at the largest penalty fails the sweep wherever run_single
-    # would. It runs unless the grid is empty, and before any cell is built,
-    # since an empty graph's P = 0 would fail RunConfig first. Each cell carries
-    # its resolved penalty, which its seed tag, its row's P and run_single read.
-    penalties = {m: replace(base, penalty_multiplier=m).resolve_penalty(g) for m in multiplier_values}
-    if len(layer_values) * len(penalties) * len(maxiter_values):
-        require_table_size(compile_tdp_qubo(g, max(penalties.values())).n_vars)
-    cells = [
-        replace(base, layers_q=q, penalty=penalties[m], penalty_multiplier=None, max_iterations=it)
-        for q, m, it in itertools.product(layer_values, multiplier_values, maxiter_values)
-    ]
+    # P = m * |V| grows with m, so penalties is sorted, and of the compile's
+    # checks only the 2^53 one depends on P: one compile at the largest penalty
+    # fails the sweep wherever run_single would. It runs unless the grid is
+    # empty, and before the repeat check, as an empty graph's penalties are all 0.
+    penalties = [replace(base, penalty_multiplier=m).resolve_penalty(g) for m in multiplier_values]
+    n_cells = len(layer_values) * len(penalties) * len(maxiter_values)
+    if n_cells:
+        require_table_size(compile_tdp_qubo(g, penalties[-1]).n_vars)
+    if len(set(penalties)) != len(penalties):
+        raise ValueError(f"multiplier_values resolve to a repeated penalty: {penalties}")
+    # One task per cell and replicate; every axis is sorted, so rows come in (q, P, maxiter, seed) order.
     tasks = [
-        (replace(c, seed=derive_seed(base.seed, c.layers_q, round(c.penalty * 1e6), c.max_iterations, r)), g, r)
-        for c in cells
-        for r in range(n_seeds)
+        (replace(base, layers_q=q, penalty=p, penalty_multiplier=None, max_iterations=it,
+                 seed=derive_seed(base.seed, q, round(p * 1e6), it, r)), g, r)
+        for q, p, it, r in itertools.product(layer_values, penalties, maxiter_values, range(n_seeds))
     ]
     if workers > 1 and len(tasks) > 1:
         rows = _run_pooled(tasks, workers)
     else:
         rows = [_run_sweep_cell(*t) for t in tasks]
-    rows.sort(key=lambda r: (r["q"], r["P"], r["maxiter"], r["seed"]))
 
     summaries = []
     finished = (row for row in rows if not row["error"])
@@ -439,7 +437,7 @@ def run_sweep(
     return SweepResult(
         rows=rows,
         summaries=summaries,
-        n_cells=len(cells),
+        n_cells=n_cells,
         n_cells_tds=sum(s["cell_is_tds"] for s in summaries),
         n_cells_min_tds=sum(s["cell_is_min_tds"] for s in summaries),
     )

@@ -346,8 +346,8 @@ def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Multinomial measurement of basis-state probabilities: dense counts, total = shots.
 
     probs, a 1-D array of non-negative reals with a positive finite total, is
-    normalized here by that total. seed is a non-negative int or a numpy
-    Generator, which is drawn from as is; a fixed int seed gives fixed counts.
+    read as float64 and normalized by its total. seed is a non-negative int or a
+    numpy Generator, drawn from as is; a fixed int seed gives fixed counts.
     """
     shots = require_integer("shots", shots, 1, MAX_COUNT)
     if not isinstance(seed, np.random.Generator):
@@ -355,6 +355,7 @@ def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     probs = np.asarray(probs)
     if probs.ndim != 1 or probs.dtype.kind not in "iuf":
         raise ValueError(f"probs must be a 1-D array of reals, got shape {probs.shape} of {probs.dtype}")
+    probs = probs.astype(np.float64, copy=False)  # an integer total may pass 2^63 - 1
     with np.errstate(over="ignore"):  # an overflowing total is inf, which the check refuses
         total = probs.sum()
     if not (0 < total < math.inf and probs.min() >= 0):
@@ -375,7 +376,7 @@ def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
         raise ValueError(f"dense distribution must be 1-D, got shape {dist.shape}")
     size = len(dist)
     n_qubits = size.bit_length() - 1
-    if 1 << n_qubits != size:
+    if size == 0 or 1 << n_qubits != size:
         raise ValueError(f"dense distribution length {size} is not a power of two")
     n_vertex_vars = require_integer("n_vertex_vars", n_vertex_vars, 0, n_qubits)
     return dist.reshape(1 << n_vertex_vars, -1).sum(axis=1)

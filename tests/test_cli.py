@@ -342,7 +342,7 @@ class TestSweep:
     ])
     def test_bad_grid_value_exits_before_the_grid(self, edge_graph, capsys, monkeypatch, flags, field):
         def no_cell_may_run(*args, **kwargs):
-            raise AssertionError("a cell ran")
+            pytest.fail("a cell ran")  # Failed is a BaseException: _run_sweep_cell does not catch it
 
         monkeypatch.setattr(harness, "run_single", no_cell_may_run)
         # A flag given twice keeps its last value, so flags overrides the small grid.
@@ -364,7 +364,7 @@ class TestSweep:
         assert capsys.readouterr().err == message
 
         def no_cell_may_run(*args, **kwargs):
-            raise AssertionError("a cell ran")
+            pytest.fail("a cell ran")  # Failed is a BaseException: _run_sweep_cell does not catch it
 
         monkeypatch.setattr(harness, "run_single", no_cell_may_run)
         out = tmp_path / "c25"

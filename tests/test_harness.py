@@ -649,19 +649,26 @@ class TestRunSweep:
         ("edge", {"multiplier_values": (1.5, 1e303)}, ValueError, r"punishment coefficient 2e\+303 is too large"),
         # The grid owns P: a base penalty fails RunConfig's either/or rule with each cell's multiplier.
         ("edge", {"base": {"penalty": 5.0}}, ValueError, "give either penalty or penalty_multiplier, not both"),
+        # Two multipliers that round to one P = m * 3; on the edge graph P = 2m is exact and never collides.
+        ("triangle", {"multiplier_values": (1.5 + 2 * 2**-52, 1.5 + 3 * 2**-52)}, ValueError,
+         re.escape("multiplier_values resolve to a repeated penalty: [4.500000000000002, 4.500000000000002]")),
+        # An empty graph's penalties are all 0: the pre-flight compile refuses the graph first.
+        ("empty", {"multiplier_values": (1.0, 1.5)}, ValueError, "graph has no vertices"),
     ], ids=[
         "missing-file", "q-0", "maxiter-0", "mult-0", "mult-nan", "seeds-0", "seeds-neg",
         "q-repeated", "mult-repeated", "maxiter-repeated", "workers-0", "workers-neg",
         "seeds-float", "seeds-str", "seeds-bool", "workers-float", "mult-too-large", "base-penalty",
+        "mult-same-penalty", "empty-graph",
     ])
     def test_bad_input_raises_before_any_cell(self, tmp_path, monkeypatch, source, options, error, match):
         def no_cell_may_run(*args, **kwargs):
-            raise AssertionError("a cell ran")
+            pytest.fail("a cell ran")  # Failed is a BaseException: _run_sweep_cell does not catch it
 
         monkeypatch.setattr(harness, "run_single", no_cell_may_run)
         path = tmp_path / f"{source}.txt"
-        if source == "edge":
-            path.write_text("2 1\n0 1\n")
+        graphs = {"edge": "2 1\n0 1\n", "triangle": "3 3\n0 1\n1 2\n0 2\n", "empty": "0 0\n"}
+        if source in graphs:
+            path.write_text(graphs[source])
         options = {
             "layer_values": (1,), "multiplier_values": (1.5,), "maxiter_values": (5,),
             "n_seeds": 1, "workers": 1, **options,
@@ -692,10 +699,23 @@ class TestRunSweep:
         assert seen_by_cells == [1, 1] * compiles
         assert [row["P"] for row in result.rows] == [2.0, 3.0] * compiles
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_come_in_grid_order_whatever_the_list_order(self, edge_graph_path, workers):
+        base = RunConfig(graph_source=edge_graph_path, seed=2, shots=200)
+        ordered = run_sweep(base, layer_values=(1, 2), multiplier_values=(1.0, 1.5), maxiter_values=(3, 5), n_seeds=2)
+        reversed_lists = run_sweep(
+            base, layer_values=(2, 1), multiplier_values=(1.5, 1.0), maxiter_values=(5, 3), n_seeds=2, workers=workers,
+        )
+        keys = [(row["q"], row["P"], row["maxiter"], row["seed"]) for row in reversed_lists.rows]
+        assert keys == sorted(keys) and len(keys) == 16
+        assert self._strip_timing(reversed_lists.rows) == self._strip_timing(ordered.rows)
+        assert reversed_lists.summaries == ordered.summaries
+        assert reversed_lists.n_cells == ordered.n_cells == 8
+
     def test_model_past_the_table_size_raises_before_any_cell(self, tmp_path, monkeypatch):
         # C_25 compiles to 25 variables at every penalty; run_single refuses it with this message.
         def no_cell_may_run(*args, **kwargs):
-            raise AssertionError("a cell ran")
+            pytest.fail("a cell ran")  # Failed is a BaseException: _run_sweep_cell does not catch it
 
         monkeypatch.setattr(harness, "run_single", no_cell_may_run)
         path = tmp_path / "c25.txt"

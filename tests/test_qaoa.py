@@ -520,6 +520,13 @@ class TestSample:
         with pytest.raises(ValueError, match=match):
             sample(probs, 10, seed=0)
 
+    @pytest.mark.parametrize("probs", [[2**63 - 1, 2**63 - 1, 3], [2**63 - 1, 1]], ids=["total-past-int64", "total-wraps"])
+    def test_integer_total_past_int64(self, probs):
+        # An int64 sum would overflow: the first case ends in numpy's pvals check, the second wraps negative.
+        counts = sample(np.array(probs), 5, seed=0)
+        assert counts.tolist() == sample(np.array(probs, dtype=np.float64), 5, seed=0).tolist()
+        assert counts.sum() == 5
+
     def test_generator_seed_is_drawn_from_as_is(self):
         probs = np.random.default_rng(6).random(32)
         reference = np.random.default_rng(11)
@@ -562,6 +569,10 @@ class TestMarginalize:
     def test_bad_shape_rejected(self, size, n_vertex):
         with pytest.raises(ValueError):
             marginalize_vertices(np.ones(size), n_vertex)
+
+    def test_empty_array_rejected(self):
+        with pytest.raises(ValueError, match="dense distribution length 0 is not a power of two"):
+            marginalize_vertices(np.array([]), 0)
 
     def test_two_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match=re.escape("must be 1-D, got shape (4, 2)")):
