@@ -59,9 +59,13 @@ def require_real(name: str, value, positive: bool = False) -> float:
     """value as a float; ValueError naming the field unless it is a finite non-bool real (> 0 if positive)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {value}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int or Fraction past float range reads as the infinity it rounds to
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x) or (positive and x <= 0):
+        raise ValueError(f"{name} must be finite{' and positive' if positive else ''}, got {x}")
+    return x
 
 
 def require_reals(name: str, value) -> np.ndarray:
@@ -69,7 +73,8 @@ def require_reals(name: str, value) -> np.ndarray:
     array = np.asarray(value)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be an array of reals, got {array.dtype}")
-    return array.astype(np.float64, copy=False)
+    with np.errstate(over="ignore"):  # a long double past float64 range becomes +-inf, which callers refuse
+        return array.astype(np.float64, copy=False)
 
 
 class InfeasibleGraphError(ValueError):
@@ -90,10 +95,7 @@ class Graph:
     _adjacency: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = require_integer("n_vertices", self.n_vertices, 0)
-        if n > MAX_GRAPH_VERTICES:
-            raise ValueError(f"graphs are limited to {MAX_GRAPH_VERTICES} vertices, got {n}")
-
+        n = require_integer("n_vertices", self.n_vertices, 0, MAX_GRAPH_VERTICES)
         canonical: set[tuple[int, int]] = set()
         adjacency: list[set[int]] = [set() for _ in range(n)]
         for edge in self.edges:
@@ -187,9 +189,7 @@ def subset_table(g: Graph, closed: bool = False) -> tuple[np.ndarray, np.ndarray
     Valid means a TDS: the subset meets the open neighborhood N(i) of every
     vertex i. With closed=True it means a DS: it meets every N(i) + {i}.
     """
-    n = g.n_vertices
-    if n > MAX_TABLE_BITS:
-        raise ValueError(f"exhaustive search limited to {MAX_TABLE_BITS} vertices, got {n}")
+    n = require_integer("vertex count", g.n_vertices, 0, MAX_TABLE_BITS)
     index = np.arange(1 << n, dtype=np.int32)
     valid = np.ones(1 << n, dtype=bool)
     for i in range(n):
@@ -294,5 +294,5 @@ def load_graph(source: str) -> Graph:
     """Resolve a graph source: "builtin:<name>", or a file in the format of parse_graph."""
     if source.startswith("builtin:"):
         return builtin_instance(source.split(":", 1)[1])
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "r", encoding="utf-8-sig") as fh:  # reads a leading byte-order mark, or none
         return parse_graph(fh.read())

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import MAX_COUNT, MAX_TABLE_BITS, require_integer, require_real, subset_sizes
+from .graphs import MAX_COUNT, MAX_TABLE_BITS, require_integer, require_real, require_reals, subset_sizes
 from .qubo import EnergyTable
 
 # Qubits per mixer group. A group of k qubits costs one matmul call and 2^k
@@ -352,10 +352,9 @@ def sample(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     shots = require_integer("shots", shots, 1, MAX_COUNT)
     if not isinstance(seed, np.random.Generator):
         seed = require_integer("seed", seed, 0)
-    probs = np.asarray(probs)
-    if probs.ndim != 1 or probs.dtype.kind not in "iuf":
-        raise ValueError(f"probs must be a 1-D array of reals, got shape {probs.shape} of {probs.dtype}")
-    probs = probs.astype(np.float64, copy=False)  # an integer total may pass 2^63 - 1
+    probs = require_reals("probs", probs)  # as float64: an integer total may pass 2^63 - 1
+    if probs.ndim != 1:
+        raise ValueError(f"probs must be a 1-D array, got shape {probs.shape}")
     with np.errstate(over="ignore"):  # an overflowing total is inf, which the check refuses
         total = probs.sum()
     if not (0 < total < math.inf and probs.min() >= 0):

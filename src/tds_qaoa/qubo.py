@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (
-    MAX_COUNT, MAX_TABLE_BITS, Graph, InfeasibleGraphError, require_integer, require_real, subset_sizes,
+    MAX_COUNT, MAX_TABLE_BITS, Graph, InfeasibleGraphError, require_integer, require_real, require_reals, subset_sizes,
 )
 
 
@@ -227,12 +227,12 @@ class EnergyTable:
         energies = np.asarray(self.energies)
         if energies.shape != (1 << n,):
             raise ValueError(f"table of {n} variables has energies of shape {energies.shape}")
-        if energies.dtype.kind not in "iuf" or not np.isfinite(energies).all():
-            raise ValueError(f"energy table holds a non-finite or non-real energy ({energies.dtype})")
-        energies = energies.astype(np.float64)
-        energies.setflags(write=False)
+        energies = require_reals("energy table", energies)
+        if not np.isfinite(energies).all():  # before the copy, so its mask and the copy never coexist
+            raise ValueError("energy table holds a non-finite or non-real energy")
         object.__setattr__(self, "n_vars", n)
-        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "energies", energies.copy())
+        self.energies.setflags(write=False)
 
     @cached_property
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,20 +249,13 @@ class EnergyTable:
         return np.unique(self.energies, return_inverse=True)
 
 
-def require_table_size(n_vars: int) -> int:
-    """n_vars; ValueError unless an energy table over n_vars variables fits MAX_TABLE_BITS."""
-    if n_vars > MAX_TABLE_BITS:
-        raise ValueError(f"energy table limited to {MAX_TABLE_BITS} variables, got {n_vars}")
-    return n_vars
-
-
 def build_energy_table(m: QuboModel) -> EnergyTable:
     """Materialize the diagonal Hamiltonian exactly: energies = |D| + P * violations.
 
     Vertex bits lead each basis index, so the table is a (2^|V|, 2^slack) grid.
     |D| and the violations are integers; only P * violations can round.
     """
-    n = require_table_size(m.n_vars)
+    n = require_integer("qubit count", m.n_vars, 1, MAX_TABLE_BITS)  # before the 2^n arrays
     g = m.graph
     n_slack = n - g.n_vertices
     sizes = subset_sizes(g.n_vertices)

@@ -396,8 +396,7 @@ def qubo_min_bruteforce(m: QuboModel) -> tuple[float, list[tuple[int, ...]]]:
     Ground-truth oracle; assignments are returned as 0/1 tuples in variable
     order.
     """
-    if m.n_vars > MAX_TABLE_BITS:
-        raise ValueError(f"exhaustive scan limited to {MAX_TABLE_BITS} variables")
+    require_integer("qubit count", m.n_vars, 1, MAX_TABLE_BITS)
     best = math.inf
     argmins: list[tuple[int, ...]] = []
     for k in range(1 << m.n_vars):

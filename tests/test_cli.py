@@ -82,7 +82,7 @@ class TestBound:
         path = tmp_path / "huge.txt"
         path.write_text("65537 0\n")
         assert cli_entry(["bound", "--graph", str(path)]) == EXIT_USAGE
-        assert "limited to 65536 vertices" in capsys.readouterr().err
+        assert "n_vertices must be at most 65536, got 65537" in capsys.readouterr().err
 
     # Runs a command and prints its peak RSS last on stderr. pytest's own getrusage(RUSAGE_CHILDREN)
     # would report the largest of all its children instead.
@@ -359,7 +359,7 @@ class TestSweep:
         # run and sweep refuse C_25 (25 variables) with one message; the sweep makes no --out.
         path = tmp_path / "c25.txt"
         path.write_text("25 25\n" + "".join(f"{v} {(v + 1) % 25}\n" for v in range(25)))
-        message = "error: energy table limited to 24 variables, got 25\n"
+        message = "error: qubit count must be at most 24, got 25\n"
         assert cli_entry(["run", "--graph", str(path), "--q", "1", "--maxiter", "3"]) == EXIT_USAGE
         assert capsys.readouterr().err == message
 

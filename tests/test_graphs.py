@@ -61,7 +61,7 @@ class TestConstruction:
 
     def test_rejects_more_vertices_than_the_cap(self):
         """Refused before a set per vertex is allocated; parse_graph reaches the cap through Graph."""
-        with pytest.raises(ValueError, match="limited to 65536 vertices, got 65537"):
+        with pytest.raises(ValueError, match="n_vertices must be at most 65536, got 65537"):
             Graph(65537, [])
 
     @pytest.mark.parametrize("edge", [(0, 1.5), (2.0, 1), (0, "1")])
@@ -238,7 +238,7 @@ class TestBruteforceOracles:
         assert infeasible == 0 if closed else infeasible > 0
 
     def test_too_many_vertices_rejected(self):
-        with pytest.raises(ValueError, match="limited"):
+        with pytest.raises(ValueError, match="vertex count must be at most 24, got 25"):
             minimum_tds_bruteforce(Graph(25, [(i, i + 1) for i in range(24)]))
 
     def test_subset_sizes_are_popcounts(self):
@@ -355,12 +355,17 @@ class TestFileFormat:
             parse_graph(f"2 1\n{line}\n")
 
     def test_vertex_cap(self):
-        with pytest.raises(ValueError, match="limited to 65536 vertices, got 65537"):
+        with pytest.raises(ValueError, match="n_vertices must be at most 65536, got 65537"):
             parse_graph("65537 0\n")
 
     def test_load_graph_roundtrip(self, tmp_path, paper6):
         path = tmp_path / "g.txt"
         path.write_text(self.TEXT)
+        assert load_graph(str(path)) == paper6
+
+    def test_load_graph_reads_a_byte_order_mark(self, tmp_path, paper6):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + self.TEXT.encode())
         assert load_graph(str(path)) == paper6
 
     def test_load_builtin(self, paper6):

@@ -4,6 +4,7 @@ import multiprocessing
 import re
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,9 +278,15 @@ class TestRunSingle:
             RunConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["penalty", "penalty_multiplier", "function_tolerance"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), 0.0, -1.0,
+        pytest.param(10**400, id="10**400"), pytest.param(Fraction(10**400, 3), id="Fraction(10**400, 3)"),
+        pytest.param(Fraction(1, 10**5000), id="Fraction(1, 10**5000)"),
+    ])
     def test_positive_fields_must_be_finite_and_positive(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {value}"):
+        # The message shows the float the rule reads: a real past float range is inf, a tiny one 0.0.
+        shown = value if isinstance(value, float) else "inf" if value > 1 else "0.0"
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {shown}"):
             RunConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["gamma_scale", "beta_scale"])
@@ -721,7 +728,7 @@ class TestRunSweep:
         path = tmp_path / "c25.txt"
         path.write_text("25 25\n" + "".join(f"{v} {(v + 1) % 25}\n" for v in range(25)))
         base = RunConfig(graph_source=str(path), seed=0)
-        with pytest.raises(ValueError, match="energy table limited to 24 variables, got 25"):
+        with pytest.raises(ValueError, match="qubit count must be at most 24, got 25"):
             run_sweep(base, layer_values=(1,), multiplier_values=(1.5, 2.0), maxiter_values=(3,))
 
     def test_csv_outputs(self, tmp_path, edge_graph_path):

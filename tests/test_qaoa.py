@@ -99,6 +99,9 @@ class TestAngleSchedule:
         ((0.5,), (float("inf"),), "betas must be finite, got inf"),
         ((True,), (0.5,), "gammas must be a real number, got True"),
         ((0.5,), ("0.5",), "betas must be a real number, got '0.5'"),
+        # An int past float range reads as the infinity it rounds to; 10**5000 has too many digits to print.
+        ((-10**400,), (0.5,), "gammas must be finite, got -inf"),
+        ((0.5,), (10**5000,), "betas must be finite, got inf"),
     ])
     def test_angles_must_be_finite_reals(self, gammas, betas, field):
         with pytest.raises(ValueError, match=field):
@@ -512,9 +515,9 @@ class TestSample:
         (np.array([0.5, np.nan]), "probs must be non-negative with a positive finite total, got total nan"),
         (np.array([0.5, np.inf]), "probs must be non-negative with a positive finite total, got total inf"),
         (np.array([0.5, -0.25, 0.75]), "probs must be non-negative with a positive finite total, got total 1.0"),
-        (np.ones((2, 2)) / 4, re.escape("probs must be a 1-D array of reals, got shape (2, 2) of float64")),
-        (np.full(2, 0.5 + 0j), re.escape("probs must be a 1-D array of reals, got shape (2,) of complex128")),
-        (["a", "b"], re.escape("probs must be a 1-D array of reals, got shape (2,) of <U1")),
+        (np.ones((2, 2)) / 4, re.escape("probs must be a 1-D array, got shape (2, 2)")),
+        (np.full(2, 0.5 + 0j), re.escape("probs must be an array of reals, got complex128")),
+        (["a", "b"], re.escape("probs must be an array of reals, got <U1")),
     ], ids=["zeros", "empty", "nan", "inf", "negative", "2-D", "complex", "strings"])
     def test_malformed_distribution_rejected(self, probs, match):
         with pytest.raises(ValueError, match=match):
