@@ -60,6 +60,13 @@ _BLOCK_FLOATS = 4096
 # Layers whose phases and rotations are built at once: kernel memory then does not grow with q.
 _LAYER_BLOCK = 64
 
+# Each state buffer starts this many bytes past a page boundary. Buffers at
+# arbitrary heap offsets can sit a few bytes apart modulo the page, so the
+# loads and stores of every mixer matmul alias in L1 (4K aliasing); half a
+# page apart they cannot.
+_PAGE = 4096
+_BUFFER_OFFSETS = (0, 2048)
+
 # i^m for m = 0..3: Phi* and Phi are i^popcount(x) and i^(3 * popcount(x)).
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 _QUARTER_TURNS.setflags(write=False)
@@ -183,6 +190,13 @@ def _right_operand(k: int) -> tuple[np.ndarray, np.ndarray]:
     return right, np.einsum("jaia->aji", right.reshape(1 << k, 2, 1 << k, 2))
 
 
+def _page_buffer(size: int, offset: int) -> np.ndarray:
+    """size complex128 amplitudes starting offset bytes past a page boundary, cut from their own block."""
+    block = np.empty(16 * size + _PAGE, dtype=np.uint8)
+    start = (offset - block.ctypes.data) % _PAGE
+    return block[start : start + 16 * size].view(np.complex128)
+
+
 def _group_views(buffer: np.ndarray) -> list[np.ndarray]:
     """Per mixer group, buffer's float64 view shaped for the group's product; none copies.
 
@@ -231,7 +245,8 @@ class Circuit:
         # The level index (built on a table's first run) comes before the
         # buffers, which then reuse the memory its sort freed.
         self._levels, self._inverse = table._level_index
-        self._buffers = tuple(np.empty(1 << n, dtype=np.complex128) for _ in range(2))
+        # One block per buffer: a result is a view of one buffer, and keeps only its block alive.
+        self._buffers = tuple(_page_buffer(1 << n, offset) for offset in _BUFFER_OFFSETS)
         # Per group: (k, (its view of the first buffer, its view of the second)).
         groups = list(zip(_group_sizes(n), zip(*map(_group_views, self._buffers))))
         self._last = groups.pop() if len(groups) > 1 else (None, None)
@@ -258,10 +273,12 @@ class Circuit:
         if start is None:
             psi = self.run(x)
         else:
-            psi, frame = self._buffers
+            psi = self._buffers[0]
             if np.shape(start) != psi.shape:
                 raise ValueError(f"start state of shape {np.shape(start)} is not {psi.shape}")
             StateVector(self.table.n_vars, start)  # the state rule: numbers with a finite squared norm
+            # The frame goes where start is not (start may be a state this circuit returned).
+            frame = self._buffers[not np.may_share_memory(start, self._buffers[1])]
             _fill_frame(frame, 1, 1.0)
             np.multiply(start, frame, out=psi)
             psi = self._layers(x)

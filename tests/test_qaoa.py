@@ -267,21 +267,52 @@ class TestRotationFrame:
             assert np.abs(right - np.kron(expected.T, np.eye(2))).max() <= 1e-15
 
     def test_results_own_their_memory(self):
+        """A result shares no memory with another, and keeps alive at most one block of its own."""
         table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
-        first = evolve(table, AngleSchedule((0.4, 1.2), (0.7, 0.3)))
+        n = table.n_vars
+        evolve(table, AngleSchedule((0.4,), (0.7,)))  # builds the level index
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            first = evolve(table, AngleSchedule((0.4, 1.2), (0.7, 0.3)))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * (1 << n) + 4096 + 2048  # one buffer's block and a few small objects, not two blocks
         kept = first.amplitudes.copy()
         second = evolve(table, AngleSchedule((2.1,), (1.9,)))
         assert np.array_equal(first.amplitudes, kept)
         assert not np.shares_memory(first.amplitudes, second.amplitudes)
-        for state in (first, second):
-            assert state.amplitudes.flags.owndata
         # evolve returns the buffer its circuit's run ends in; the other holds the frame.
         circuit = Circuit(table)
         for x in ([0.4, 1.2, 0.7, 0.3], [2.1, 1.9]):
             psi = circuit.run(x)
-            assert psi.flags.owndata
             assert any(psi is buffer for buffer in circuit._buffers)
-            assert not np.shares_memory(psi, circuit._other(psi))
+            assert not np.shares_memory(psi.base, circuit._other(psi).base)
+
+
+class TestBufferPlacement:
+    """Each state buffer is cut from its own block at a fixed offset past a page boundary."""
+
+    @pytest.mark.parametrize("n", [10, 14, 20])
+    def test_buffers_sit_half_a_page_apart(self, n):
+        circuit = Circuit(EnergyTable(n, subset_sizes(n).astype(np.float64)))
+        assert [buffer.ctypes.data % 4096 for buffer in circuit._buffers] == [0, 2048]
+        for buffer in circuit._buffers:
+            assert buffer.base.flags.owndata
+            assert buffer.base.nbytes <= 16 * (1 << n) + 4096
+
+    @pytest.mark.parametrize("offsets", [(1792, 1840), (16, 2064)], ids=["48 B apart", "off a cache line"])
+    @pytest.mark.parametrize("n", [5, 10, 14, 17])
+    def test_run_bits_do_not_depend_on_placement(self, monkeypatch, offsets, n):
+        monkeypatch.setattr(qaoa, "_BUFFER_OFFSETS", offsets)
+        rng = np.random.default_rng(1100 + n)
+        table = EnergyTable(n, 9.0 * rng.integers(0, 5, size=1 << n) + subset_sizes(n))
+        circuit = Circuit(table)
+        assert tuple(buffer.ctypes.data % 4096 for buffer in circuit._buffers) == offsets
+        for x in rng.uniform(-7.0, 7.0, size=(2, 4)):
+            expected = reference_layers(table, x).view(np.float64)
+            assert np.array_equal(circuit.run(x).view(np.float64), expected)
 
 
 class TestCircuitState:
@@ -307,6 +338,17 @@ class TestCircuitState:
         phased = reference_cost_layer(StateVector(6, kept), circuit.table.energies, 0.3)
         expected = reference_mixer_layer(phased, 1.1)
         assert np.abs(psi - expected.amplitudes).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 11, 14])
+    @pytest.mark.parametrize("q", [1, 2])  # the state ends in the second buffer, then the first
+    def test_start_may_be_a_state_it_returned(self, n, q):
+        rng = np.random.default_rng(600 + n)
+        circuit = Circuit(random_table(rng, n))
+        x = rng.uniform(0.0, np.pi, size=2 * q)
+        expected = circuit.state(x, circuit.state(x).copy()).copy()
+        psi = circuit.state(x, circuit.state(x))
+        assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(psi, expected)
 
     @pytest.mark.parametrize("x, message", [
         ([float("nan"), 0.5], r"angle x\[0\] must be finite, got nan"),
