@@ -41,16 +41,9 @@ from .graphs import MAX_TABLE_BITS, require_integer, require_real, require_reals
 # perfbench/tracer.py wraps these names where harness binds them.
 from .graphs import is_total_dominating_set, minimum_tds_bruteforce  # noqa: F401
 from .qaoa import expectation  # noqa: F401
-from .optimize import (
-    OptimizerConfig,
-    OptimizationTrace,
-    angle_bounds,
-    default_ramp_scales,
-    initial_angles,
-    minimize,
-)
-from .qaoa import AngleSchedule, Circuit, evolve, marginalize_vertices, sample
-from .qubo import build_energy_table, compile_tdp_qubo, index_to_bits
+from .optimize import OptimizerConfig, OptimizationTrace, minimize
+from .qaoa import AngleSchedule, Circuit, angle_bounds, default_ramp_scales, evolve, initial_angles, sample
+from .qubo import build_energy_table, compile_tdp_qubo, index_to_bits, marginalize_vertices
 
 DEFAULT_SHOTS = 100_000
 DEFAULT_SWEEP_LAYERS = (2, 5, 10, 20)

@@ -1,4 +1,4 @@
-"""Derivative-free minimization under box bounds, plus QAOA angle ramps.
+"""Derivative-free minimization under box bounds.
 
 The optimizer is a deterministic Nelder-Mead simplex search with box
 projection: every candidate point is clipped into the bounds before it is
@@ -17,9 +17,6 @@ from __future__ import annotations
 __all__ = [
     "OptimizationTrace",
     "OptimizerConfig",
-    "angle_bounds",
-    "default_ramp_scales",
-    "initial_angles",
     "minimize",
 ]
 
@@ -31,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import MAX_COUNT, require_integer, require_real, require_reals
-from .qaoa import AngleSchedule
 
 TERMINATION_BUDGET = "budget_exhausted"
 TERMINATION_TOLERANCE = "tolerance_met"
@@ -56,7 +52,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "max_iterations", require_integer("max_iterations", self.max_iterations, 1))
+        object.__setattr__(self, "max_iterations", require_integer("max_iterations", self.max_iterations, 1, MAX_COUNT))
         object.__setattr__(self, "seed", require_integer("seed", self.seed))
         tolerance = require_real("function_tolerance", self.function_tolerance, positive=True)
         object.__setattr__(self, "function_tolerance", tolerance)
@@ -188,54 +184,3 @@ def minimize(
     best = int(np.argmin(costs))
     return OptimizationTrace(points, costs, points[best], float(costs[best]), termination)
 
-
-def angle_bounds(q: int) -> tuple[tuple[float, float], ...]:
-    """Box bounds for the flat angle vector: gammas in [0, 2pi], betas in [0, pi]."""
-    q = require_integer("q", q, 1, MAX_COUNT)
-    return tuple([(0.0, 2.0 * np.pi)] * q + [(0.0, np.pi)] * q)
-
-
-# Calibrated ramp-endpoint defaults per layer count: (max layers,
-# gamma-endpoint target, beta endpoint). With integer-valued penalty terms
-# scaled by P, the expectation landscape has resonant basins where
-# gamma * P is a multiple of 2*pi (the penalty phase wraps away and the
-# cardinality objective drives the final filtering); gamma_scale snaps the
-# ramp endpoint onto the resonance 2*pi*k/P nearest the target. Calibrated
-# on the bundled 6-node benchmark over q in {2, 5, 10, 20}; thresholds sit
-# at grid midpoints.
-_RAMP_DEFAULTS = ((3, 2.1, 0.8), (7, 2.1, 1.15), (14, 1.4, 1.9))
-_RAMP_DEFAULTS_DEEP = (2.1, 1.6)
-
-
-def default_ramp_scales(layers_q: int, penalty: float) -> tuple[float, float]:
-    """Calibrated (gamma_scale, beta_scale) defaults for a run.
-
-    Explicit scales always override these defaults; see _RAMP_DEFAULTS.
-    """
-    layers_q = require_integer("layers_q", layers_q, 1, MAX_COUNT)
-    penalty = require_real("penalty", penalty, positive=True)
-    for limit, target, beta_scale in _RAMP_DEFAULTS:
-        if layers_q <= limit:
-            break
-    else:
-        target, beta_scale = _RAMP_DEFAULTS_DEEP
-    if not math.isfinite(penalty * target):
-        raise ValueError(f"penalty {penalty} times the ramp target {target} is not finite")
-    k = max(1, round(penalty * target / (2.0 * np.pi)))
-    gamma_scale = min(2.0 * np.pi * k / penalty, 2.0 * np.pi)
-    return gamma_scale, beta_scale
-
-
-def initial_angles(q: int, gamma_scale: float, beta_scale: float) -> AngleSchedule:
-    """Annealing-style linear ramp: gammas rise, betas fall across layers.
-
-    gamma_k = (k - 1/2)/q * gamma_scale and beta_k = (1 - (k - 1/2)/q) *
-    beta_scale for k = 1..q, clipped into the angle bounds.
-    """
-    q = require_integer("q", q, 1, MAX_COUNT)
-    gamma_scale = require_real("gamma_scale", gamma_scale)
-    beta_scale = require_real("beta_scale", beta_scale)
-    fractions = [(k - 0.5) / q for k in range(1, q + 1)]
-    gammas = [min(max(f * gamma_scale, 0.0), 2.0 * np.pi) for f in fractions]
-    betas = [min(max((1.0 - f) * beta_scale, 0.0), np.pi) for f in fractions]
-    return AngleSchedule(tuple(gammas), tuple(betas))

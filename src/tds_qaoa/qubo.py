@@ -36,6 +36,7 @@ __all__ = [
     "build_energy_table",
     "compile_tdp_qubo",
     "index_to_bits",
+    "marginalize_vertices",
     "qubit_counts",
     "qubit_upper_bound",
     "slack_coefficients",
@@ -50,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (
-    MAX_COUNT, MAX_TABLE_BITS, Graph, InfeasibleGraphError, require_integer, require_real, require_reals, subset_sizes,
+    MAX_GRAPH_VERTICES, MAX_TABLE_BITS, Graph, InfeasibleGraphError, require_integer, require_real, require_reals, subset_sizes,
 )
 
 
@@ -203,12 +204,34 @@ def bits_to_index(bits: str | Sequence[int]) -> int:
 
 
 def index_to_bits(index: int, n_vars: int) -> str:
-    """Bit string of length n_vars for a basis-state integer."""
-    n_vars = require_integer("n_vars", n_vars, 0, MAX_COUNT)
+    """Bit string of length n_vars for a basis-state integer; no string is wider than the widest Graph."""
+    n_vars = require_integer("n_vars", n_vars, 0, MAX_GRAPH_VERTICES)
     index = require_integer("index", index)
     if index < 0 or index.bit_length() > n_vars:  # index < 2^n_vars, with no 2^n_vars built
         raise ValueError(f"index {index} out of range for {n_vars} variables")
     return format(index, f"0{n_vars}b") if n_vars else ""
+
+
+def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
+    """Sum slack bits out of a dense basis-state distribution.
+
+    dist holds a probability or count per basis state. Vertex variables are
+    the most significant bits (see VariableRegistry), so entry v of the result
+    sums the contiguous block of slack completions of vertex prefix v. The
+    sums keep dist's dtype and are not normalized.
+    """
+    dist = np.asarray(dist)
+    if dist.ndim != 1:
+        raise ValueError(f"dense distribution must be 1-D, got shape {dist.shape}")
+    size = len(dist)
+    n_qubits = size.bit_length() - 1
+    if size == 0 or 1 << n_qubits != size:
+        raise ValueError(f"dense distribution length {size} is not a power of two")
+    n_vertex_vars = require_integer("n_vertex_vars", n_vertex_vars, 0, n_qubits)
+    try:
+        return dist.reshape(1 << n_vertex_vars, -1).sum(axis=1)
+    except TypeError:  # numpy's add refuses the dtype (strings, dates, None objects)
+        raise ValueError(f"dense distribution must hold numbers, got {dist.dtype}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,6 @@ report lines; the statistical criteria (6, 7) use fixed seeds and are
 deterministic across runs.
 """
 
-import os
 import time
 
 import numpy as np
@@ -167,9 +166,8 @@ def test_criterion_6_headline_cell_statistics():
 
 def test_criterion_7_full_sweep():
     start = time.perf_counter()
-    workers = int(os.environ.get("TDS_QAOA_WORKERS", "2"))
     base = RunConfig(graph_source="builtin:paper6", seed=0)
-    sweep = run_sweep(base, n_seeds=1, workers=workers)
+    sweep = run_sweep(base, n_seeds=1, workers=2)
     tds_fraction = sweep.n_cells_tds / sweep.n_cells
     minimal_qs = [s["q"] for s in sweep.summaries if s["cell_is_min_tds"]]
     median_q = float(np.median(minimal_qs)) if minimal_qs else float("inf")

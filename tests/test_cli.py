@@ -241,6 +241,16 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unexpected_exception_is_an_internal_error(self, edge_graph, capsys, monkeypatch):
+        def boom(config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_single", boom)
+        assert cli_entry(["run", "--graph", edge_graph, "--q", "1"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert captured.out == ""
+
 
 class TestTrace:
     def test_stdout_csv(self, edge_graph, capsys):

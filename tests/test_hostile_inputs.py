@@ -45,6 +45,7 @@ from tds_qaoa import (
     run_sweep,
     sample,
 )
+from tds_qaoa.graphs import MAX_GRAPH_VERTICES
 from tds_qaoa.harness import derive_seed, write_run_outputs, write_sweep_outputs
 
 INTEGER_TWINS = {"int64": np.int64, "int32": np.int32, "uint16": np.uint16, "0-d array": np.array}
@@ -231,6 +232,17 @@ def test_layer_count_past_max_count_rejected_by_name(call, name):
         call()
 
 
+@pytest.mark.parametrize("make", [
+    lambda n: OptimizerConfig(n, ((0, 1),)),
+    lambda n: RunConfig(max_iterations=n),
+], ids=["OptimizerConfig", "RunConfig"])
+def test_budget_past_max_count_rejected_by_name(make):
+    """Both configs read max_iterations through one rule: an integer in [1, MAX_COUNT]."""
+    with pytest.raises(ValueError, match=f"^max_iterations must be at most {2**63 - 1}, got {2**70}$"):
+        make(2**70)
+    assert make(2**63 - 1).max_iterations == 2**63 - 1
+
+
 @pytest.mark.parametrize("item", [np.array([1, 0]), np.array([1])], ids=["two items", "one item"])
 def test_array_bit_item_rejected_by_name(item):
     with pytest.raises(ValueError, match=f"^bit string item {re.escape(repr(item))} is not 0 or 1$"):
@@ -264,8 +276,17 @@ def test_ramp_penalty_that_overflows_rejected_by_name():
 
 
 def test_bit_width_past_max_count_rejected_by_name():
-    with pytest.raises(ValueError, match=f"^n_vars must be at most {2**63 - 1}, got {2**70}$"):
+    with pytest.raises(ValueError, match=f"^n_vars must be at most 65536, got {2**70}$"):
         index_to_bits(5, 2**70)
+
+
+def test_bit_width_past_the_widest_graph_rejected_before_formatting():
+    """No vertex string is wider than a Graph of MAX_GRAPH_VERTICES vertices; 2^62 characters would take 4 EiB."""
+    with pytest.raises(ValueError, match=f"^n_vars must be at most 65536, got {2**62}$"):
+        index_to_bits(1, 2**62)
+    assert index_to_bits(1, MAX_GRAPH_VERTICES) == "0" * (MAX_GRAPH_VERTICES - 1) + "1"
+    with pytest.raises(ValueError, match=f"^n_vars must be at most 65536, got {MAX_GRAPH_VERTICES + 1}$"):
+        index_to_bits(1, MAX_GRAPH_VERTICES + 1)
 
 
 @pytest.mark.parametrize("index, n_vars", [(8, 3), (-1, 3), (1, 0), (2**70, 70)])

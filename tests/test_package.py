@@ -2,7 +2,7 @@
 
 tds_qaoa re-exports the __all__ of graphs, harness, optimize, qaoa and qubo,
 and nothing else; these tests pin that set and check that each list names
-what its module defines.
+what its module defines. They also pin which modules each one imports from.
 """
 
 import ast
@@ -88,3 +88,27 @@ def test_each_module_list_is_a_literal(module):
     [value] = [node.value for node in tree.body
                if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]]
     assert ast.literal_eval(value) == module.__all__
+
+
+# The package modules each module imports from. qubo owns the encoding and
+# qaoa the circuit and its angles; optimize is a generic box-bounded
+# minimizer, so it knows neither.
+LAYERS = {
+    graphs: set(),
+    qubo: {"graphs"},
+    qaoa: {"graphs", "qubo"},
+    optimize: {"graphs"},
+    harness: {"graphs", "optimize", "qaoa", "qubo"},
+}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_each_module_imports_only_the_layers_below_it(module):
+    tree = ast.parse(inspect.getsource(module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module if node.level else node.module.removeprefix("tds_qaoa."))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("tds_qaoa.") for alias in node.names)
+    assert imported & {m.__name__.removeprefix("tds_qaoa.") for m in MODULES} == LAYERS[module]

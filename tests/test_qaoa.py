@@ -627,3 +627,13 @@ class TestMarginalize:
     def test_vertex_count_must_be_an_integer(self, n_vertex):
         with pytest.raises(ValueError, match="n_vertex_vars must be an integer"):
             marginalize_vertices(np.ones(8), n_vertex)
+
+    @pytest.mark.parametrize("dist", [
+        np.array(list("abcdefgh")),
+        np.full(8, None, dtype=object),
+        np.arange(8).astype("datetime64[D]"),
+    ], ids=["<U1", "None objects", "datetime64[D]"])
+    def test_non_numeric_distribution_rejected_by_name(self, dist):
+        message = f"dense distribution must hold numbers, got {dist.dtype}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            marginalize_vertices(dist, 2)
