@@ -192,10 +192,20 @@ class RunResult:
 
         Rows go out in blocks of CSV_BLOCK_ROWS with the csv module's CRLF
         endings; probabilities are written as their repr, counts as integers.
+        No row is formatted on its own: each is gathered from four pieces,
+        the head and tail of its bit string (formatted once per call), the
+        text of its run of equal probabilities and of its count (once per
+        block).
         """
         fh.write("bits,probability,count\r\n")
         order = self._descending_order
-        spec = f"0{self._n_vertices}b"  # index_to_bits' spec; the rows index range(2^n), unchecked
+        # Bits are MSB-first, so row k's string is heads[k >> low] + tails[k & mask]:
+        # two tables of about 2^(n/2) strings instead of one of 2^n.
+        n = self._n_vertices
+        low = n // 2
+        mask = (1 << low) - 1
+        heads = np.array([index_to_bits(k, n - low) for k in range(1 << (n - low))], dtype=object)
+        tails = np.array([index_to_bits(k, low) + "," for k in range(1 << low)], dtype=object)
         for start in range(0, len(order), CSV_BLOCK_ROWS):
             block = order[start:start + CSV_BLOCK_ROWS]
             probs = self.exact_probabilities[block]
@@ -203,12 +213,16 @@ class RunResult:
             # pattern changes, so -0.0 and 0.0 are separate runs.
             pattern = probs.view(np.int64)
             starts = np.concatenate(([True], pattern[1:] != pattern[:-1]))
-            # A list's repr joins its items' reprs with ", ", which no float or int repr contains.
-            run_texts = repr(probs[starts].tolist())[1:-1].split(", ")
-            texts = np.array(run_texts, dtype=object)[np.cumsum(starts) - 1]
-            counts = repr(self.vertex_counts[block].tolist())[1:-1].split(", ")
-            bits = [format(k, spec) for k in block.tolist()]
-            fh.write("\r\n".join(map(",".join, zip(bits, texts, counts))) + "\r\n")
+            # A list's repr joins its items' reprs with ", ", which no float repr contains.
+            run_texts = [text + "," for text in repr(probs[starts].tolist())[1:-1].split(", ")]
+            values, inverse = np.unique(self.vertex_counts[block], return_inverse=True)
+            # One row of pieces per CSV row; the flat list is the block's text in order.
+            pieces = np.empty((len(block), 4), dtype=object)
+            pieces[:, 0] = heads[block >> low]
+            pieces[:, 1] = tails[block & mask]
+            pieces[:, 2] = np.array(run_texts, dtype=object)[np.cumsum(starts) - 1]
+            pieces[:, 3] = np.array([f"{c!r}\r\n" for c in values.tolist()], dtype=object)[inverse]
+            fh.write("".join(pieces.ravel().tolist()))
 
 
 def _descending(probs: np.ndarray) -> np.ndarray:

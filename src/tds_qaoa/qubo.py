@@ -218,7 +218,9 @@ def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
     dist holds a probability or count per basis state. Vertex variables are
     the most significant bits (see VariableRegistry), so entry v of the result
     sums the contiguous block of slack completions of vertex prefix v. The
-    sums keep dist's dtype and are not normalized.
+    sums follow numpy's sum dtype rules, so int32 and bool counts come back
+    as int64, and are not normalized. A dtype that is not bool, integer or
+    real float (objects, strings, times, complex) is refused by name.
     """
     dist = np.asarray(dist)
     if dist.ndim != 1:
@@ -228,10 +230,9 @@ def marginalize_vertices(dist: np.ndarray, n_vertex_vars: int) -> np.ndarray:
     if size == 0 or 1 << n_qubits != size:
         raise ValueError(f"dense distribution length {size} is not a power of two")
     n_vertex_vars = require_integer("n_vertex_vars", n_vertex_vars, 0, n_qubits)
-    try:
-        return dist.reshape(1 << n_vertex_vars, -1).sum(axis=1)
-    except TypeError:  # numpy's add refuses the dtype (strings, dates, None objects)
-        raise ValueError(f"dense distribution must hold numbers, got {dist.dtype}") from None
+    if dist.dtype.kind not in "biuf":
+        raise ValueError(f"dense distribution must hold numbers, got {dist.dtype}")
+    return dist.reshape(1 << n_vertex_vars, -1).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,6 +33,7 @@ from tds_qaoa import (
     run_sweep,
 )
 from tds_qaoa import harness
+from tds_qaoa.graphs import MAX_COUNT
 from tds_qaoa.harness import (
     ROW_FIELDS,
     SUMMARY_FIELDS,
@@ -385,6 +386,18 @@ def _run_across_blocks_result() -> RunResult:
     )
 
 
+def _many_counts_result() -> RunResult:
+    """4,096 rows whose counts take hundreds of values in each block, with 0 and MAX_COUNT among them."""
+    rng = np.random.default_rng(13)
+    probs = rng.random(1 << 12)
+    counts = rng.integers(0, MAX_COUNT, size=1 << 12, endpoint=True)
+    counts[::5] = 0
+    counts[::7] = MAX_COUNT
+    counts[1::9] = MAX_COUNT - 1
+    counts[2::11] = rng.integers(0, 1000, size=len(counts[2::11]))
+    return replace(_tied_result(), exact_probabilities=probs / probs.sum(), vertex_counts=counts)
+
+
 @pytest.fixture(scope="module")
 def output_results():
     """Results whose outputs are compared with the per-row references."""
@@ -399,13 +412,14 @@ def output_results():
         "tied": _tied_result(),
         **{f"width-{n}": _width_result(n) for n in WIDTHS},
         "run-across-blocks": _run_across_blocks_result(),
+        "many-counts": _many_counts_result(),
     }
 
 
 OUTPUT_CASES = ("paper6-exact", "paper6-sampled", "cycle12", "tied")
 # Bit-string widths at and beside byte boundaries, up to what the per-row reference writes quickly.
 WIDTHS = (1, 7, 8, 9, 16, 17)
-WRITER_CASES = tuple(f"width-{n}" for n in WIDTHS) + ("run-across-blocks",)
+WRITER_CASES = tuple(f"width-{n}" for n in WIDTHS) + ("run-across-blocks", "many-counts")
 
 
 class TestRunOutputsAgainstReference:

@@ -632,8 +632,17 @@ class TestMarginalize:
         np.array(list("abcdefgh")),
         np.full(8, None, dtype=object),
         np.arange(8).astype("datetime64[D]"),
-    ], ids=["<U1", "None objects", "datetime64[D]"])
+        np.arange(8).astype("timedelta64[s]"),
+        np.ones(8, dtype=complex),
+    ], ids=["<U1", "None objects", "datetime64[D]", "timedelta64[s]", "complex128"])
     def test_non_numeric_distribution_rejected_by_name(self, dist):
         message = f"dense distribution must hold numbers, got {dist.dtype}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            marginalize_vertices(dist, 2)
+        # With 3 of 3 qubits there is no slack: each block has one entry, which a sum returns without adding.
+        for n_vertex in (2, 3):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                marginalize_vertices(dist, n_vertex)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.bool_])
+    def test_small_integer_counts_sum_as_int64(self, dtype):
+        marginal = marginalize_vertices(np.ones(8, dtype=dtype), 2)
+        assert marginal.dtype == np.int64 and marginal.tolist() == [2, 2, 2, 2]
