@@ -19,8 +19,10 @@ where Phi* |+> has amplitudes i^popcount(x) / 2^(n/2). `Circuit.state` runs in
 that frame: each mixer layer is the real rotation R^{⊗n}, which turns the
 real and the imaginary parts alike and so acts on the float64 view of the
 amplitudes, and Phi is applied once, at the end. R^{⊗n} is one matmul per
-group of qubits, each from one of two state buffers into the other, in
-qubit order (see _group_views).
+group of qubits between two state buffers. A circuit of at most two groups
+multiplies each whole group into the other buffer and copies the product
+back transposed (see _copy_views); one of three or more writes each blocked
+product from one buffer into the other, in qubit order (see _group_views).
 
 Qubit j is the j-th axis of the amplitude tensor (variable 0 = most
 significant bit, matching the energy-table convention).
@@ -229,7 +231,10 @@ def _rotation_index(k: int) -> np.ndarray:
 
 
 def _rotations(k: int, cos: list[float], sin: list[float]) -> np.ndarray:
-    """Each layer's signed real R^{⊗k} from its cos(beta) and sin(beta): (layers, 2^k, 2^k)."""
+    """Each layer's signed real R^{⊗k} from its cos(beta) and sin(beta): (layers, 2^k, 2^k).
+
+    Each power is Python's c ** (k - d) * s ** d: np.power can differ in the last bit.
+    """
     powers = np.array([[c ** (k - d) * s**d for d in range(k + 1)] for c, s in zip(cos, sin)])
     return np.concatenate((powers, -powers), axis=1).take(_rotation_index(k), axis=1)
 
@@ -252,25 +257,38 @@ def _page_buffer(size: int, offset: int) -> np.ndarray:
 
 
 def _group_views(buffer: np.ndarray) -> list[np.ndarray]:
-    """Per mixer group, buffer's float64 view shaped for the group's product; none copies.
+    """Per group of a circuit of three or more, buffer's float64 view shaped for the group's product.
 
-    Group k behind `lead` qubits: R^{⊗k} @ (2^lead, blocks, 2^k, cols). The last of two
-    or more: (blocks, rows, 2^(k+1)) @ ((R^{⊗k})^T ⊗ I_2); a lone group would have
-    one row, which numpy rounds differently. Blocks hold about _BLOCK_FLOATS floats.
+    None copies. Group k behind `lead` qubits: R^{⊗k} @ (2^lead, blocks, 2^k, cols).
+    The last: (blocks, rows, 2^(k+1)) @ ((R^{⊗k})^T ⊗ I_2). Blocks hold about
+    _BLOCK_FLOATS floats.
     """
     n = buffer.size.bit_length() - 1
     flat = buffer.view(np.float64)
     sizes = _group_sizes(n)
     views, lead = [], 0
-    for k in sizes[: max(1, len(sizes) - 1)]:
+    for k in sizes[:-1]:
         row = 2 << (n - lead - k)
         cols = min(row, _BLOCK_FLOATS >> k)
         views.append(flat.reshape(1 << lead, 1 << k, row // cols, cols).transpose(0, 2, 1, 3))
         lead += k
-    if len(sizes) > 1:
-        width = 2 << sizes[-1]
-        views.append(flat.reshape(-1, min(flat.size, _BLOCK_FLOATS) // width, width))
+    width = 2 << sizes[-1]
+    views.append(flat.reshape(-1, _BLOCK_FLOATS // width, width))
     return views
+
+
+def _copy_views(k: int, state: np.ndarray, other: np.ndarray) -> tuple:
+    """Group k's (k, operand, product, destination, source) for a circuit of at most two groups.
+
+    R^{⊗k} @ operand, state's float64 view with the group's 2^k rows leading, goes to
+    product in the other buffer. Copying source, the product as a complex (2^(n-k), 2^k)
+    array, to destination in state moves the group's axes behind the others: the next
+    group then leads, and after the last group the qubits are back in order.
+    """
+    rows = 1 << k
+    product = other.view(np.float64).reshape(rows, -1)
+    operand = state.view(np.float64).reshape(rows, -1)
+    return k, operand, product, state.reshape(-1, rows), product.view(np.complex128).T
 
 
 def apply_cost_layer(state: StateVector, table: EnergyTable, gamma: float) -> StateVector:
@@ -301,11 +319,19 @@ class Circuit:
         self._levels, self._inverse = table._level_index
         # One block per buffer: a result is a view of one buffer, and keeps only its block alive.
         self._buffers = tuple(_page_buffer(1 << n, offset) for offset in _BUFFER_OFFSETS)
-        # Per group: (k, (its view of the first buffer, its view of the second)).
-        groups = list(zip(_group_sizes(n), zip(*map(_group_views, self._buffers))))
-        self._last = groups.pop() if len(groups) > 1 else (None, None)
-        self._left, self._sizes = groups, set(_group_sizes(n))
-        self._right = _right_operand(self._last[0]) if self._last[0] else (None, None)
+        sizes = _group_sizes(n)
+        self._sizes = set(sizes)
+        if len(sizes) <= 2:
+            # Whole-group products with transposed copies: the state stays in the first buffer.
+            self._copies = [_copy_views(k, *self._buffers) for k in sizes]
+        else:
+            # Blocked products, each from one buffer into the other: past two groups, a
+            # transposed copy per group costs more than the last group's padded product.
+            self._copies = None
+            # Per group: (k, (its view of the first buffer, its view of the second)).
+            groups = list(zip(sizes, zip(*map(_group_views, self._buffers))))
+            self._last, self._left = groups.pop(), groups
+            self._right = _right_operand(self._last[0])
 
     def run(self, x) -> np.ndarray:
         """The state at angles x = [gammas..., betas...] in the rotation frame, in a buffer."""
@@ -349,14 +375,15 @@ class Circuit:
 
         Each layer gathers its phases into the free buffer, one per distinct energy
         (one np.exp per _LAYER_BLOCK layers: 64 * 62 at paper6, 64 * 2^n at worst),
-        then runs R(beta) as one matmul per qubit group (see _group_views).
+        then runs R(beta) as one matmul per qubit group (see _copy_views and _group_views).
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.size % 2 or not x.size:
             raise ValueError(f"parameter vector of shape {x.shape} is not [gammas..., betas...]")
         q = x.size // 2
-        last, last_views = self._last
-        right, right_view = self._right
+        copies = self._copies
+        if not copies:
+            (last, last_views), (right, right_view) = self._last, self._right
         state = 0
         for first in range(0, q, _LAYER_BLOCK):
             block = slice(first, first + _LAYER_BLOCK)
@@ -374,13 +401,17 @@ class Circuit:
                 # Operands in the order of amplitudes * phases: numpy's complex product
                 # can round differently with them swapped.
                 np.multiply(psi, phases, out=psi)
+                if copies:
+                    for k, operand, product, destination, source in copies:
+                        np.dot(rotations[k][layer], operand, out=product)
+                        destination[...] = source
+                    continue
                 for k, views in self._left:
                     np.matmul(rotations[k][layer], views[state], out=views[1 - state])
                     state ^= 1
-                if last:
-                    right_view[...] = rotations[last][layer].T
-                    np.matmul(last_views[state], right, out=last_views[1 - state])
-                    state ^= 1
+                right_view[...] = rotations[last][layer].T
+                np.matmul(last_views[state], right, out=last_views[1 - state])
+                state ^= 1
         return self._buffers[state]
 
     def probabilities(self, x) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -42,11 +43,9 @@ def random_state(rng, n):
     return StateVector(n, amplitudes / np.linalg.norm(amplitudes))
 
 
-def c14_evaluation_peak(seed: int) -> int:
-    """Peak bytes that tracemalloc sees above the start over 20 q = 5 evaluations on C_14."""
-    n = 14
-    cycle = Graph(n, [(v, (v + 1) % n) for v in range(n)])
-    circuit = Circuit(build_energy_table(compile_tdp_qubo(cycle, 21.0)))
+def evaluation_peak(g: Graph, seed: int) -> int:
+    """Peak bytes that tracemalloc sees above the start over 20 q = 5 evaluations on g at P = 1.5 |V|."""
+    circuit = Circuit(build_energy_table(compile_tdp_qubo(g, 1.5 * g.n_vertices)))
     points = np.random.default_rng(seed).uniform(0.0, np.pi, size=(21, 10))
     circuit.expectation(points[0])  # builds the level index
     tracemalloc.start()
@@ -72,6 +71,8 @@ def paper6_evaluation_peak(q: int) -> int:
     finally:
         tracemalloc.stop()
 
+
+CYCLE14 = Graph(14, [(v, (v + 1) % 14) for v in range(14)])
 
 # One mixer group (n <= 5), then two or three groups of equal and of unequal sizes.
 REFERENCE_SIZES = (1, 2, 4, 5, 6, 9, 10, 11, 12, 14)
@@ -266,6 +267,21 @@ class TestRotationFrame:
             view[...] = rotations[layer].T  # as the last mixer group's right operand
             assert np.abs(right - np.kron(expected.T, np.eye(2))).max() <= 1e-15
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_entries_are_python_power_products(self, k):
+        """Every entry is the signed Python float c ** (k - d) * s ** d, bit for bit.
+
+        np.power can round the last bit differently, so rotations built with it
+        would change seeded outputs wherever no digest is recorded.
+        """
+        betas = np.random.default_rng(k).uniform(-7.0, 7.0, size=130).tolist() + [0.0, np.pi / 2]
+        cos, sin = [math.cos(b) for b in betas], [math.sin(b) for b in betas]
+        rotations = qaoa._rotations(k, cos, sin)
+        pairs = [(bin(i ^ j).count("1"), bin(~i & j).count("1") % 2) for i in range(1 << k) for j in range(1 << k)]
+        for layer, (c, s) in enumerate(zip(cos, sin)):
+            expected = [-(c ** (k - d) * s**d) if negative else c ** (k - d) * s**d for d, negative in pairs]
+            assert np.array_equal(rotations[layer].ravel().view(np.int64), np.array(expected).view(np.int64))
+
     def test_results_own_their_memory(self):
         """A result shares no memory with another, and keeps alive at most one block of its own."""
         table = build_energy_table(compile_tdp_qubo(builtin_instance(), 9.0))
@@ -339,14 +355,17 @@ class TestCircuitState:
         expected = reference_mixer_layer(phased, 1.1)
         assert np.abs(psi - expected.amplitudes).max() <= 1e-12
 
-    @pytest.mark.parametrize("n", [5, 11, 14])
-    @pytest.mark.parametrize("q", [1, 2])  # the state ends in the second buffer, then the first
+    # At most two groups (n = 5, 8), the state always ends in the first buffer; at
+    # three (n = 11, 14), in the second at q = 1 and in the first at q = 2.
+    @pytest.mark.parametrize("n", [5, 8, 11, 14])
+    @pytest.mark.parametrize("q", [1, 2])
     def test_start_may_be_a_state_it_returned(self, n, q):
         rng = np.random.default_rng(600 + n)
         circuit = Circuit(random_table(rng, n))
         x = rng.uniform(0.0, np.pi, size=2 * q)
         expected = circuit.state(x, circuit.state(x).copy()).copy()
         psi = circuit.state(x, circuit.state(x))
+        assert psi is circuit._buffers[0 if n <= 10 else q % 2]
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(psi, expected)
 
@@ -373,7 +392,8 @@ class TestCircuitState:
 class TestCircuit:
     """The optimizer's entry point; its bits are pinned by test_properties against evolve."""
 
-    @pytest.mark.parametrize("n", [1, 5, 6, 10, 11, 14, 16, 17])  # 1 to 4 groups, both parities
+    # 1 to 4 groups, both parities; 7 and 9 split into two groups of two sizes
+    @pytest.mark.parametrize("n", [1, 5, 6, 7, 9, 10, 11, 14, 16, 17])
     @pytest.mark.parametrize("q", [1, 2, 5])
     @pytest.mark.parametrize("penalty", [9.0, 4.8])
     def test_run_matches_transposed_copy_kernel(self, n, q, penalty):
@@ -412,11 +432,19 @@ class TestCircuit:
         assert paper6_evaluation_peak(20_000) < paper6_evaluation_peak(64) + 2_000_000
 
     def test_evaluations_reuse_their_buffers(self):
-        assert c14_evaluation_peak(seed=14) < (1 << 14) * 16
+        assert evaluation_peak(CYCLE14, seed=14) < (1 << 14) * 16
 
     def test_evaluations_copy_no_level_index(self):
         """A gather with a read-only index would copy it, 8 B per amplitude per layer."""
-        assert c14_evaluation_peak(seed=15) < (1 << 14) * 4
+        assert evaluation_peak(CYCLE14, seed=15) < (1 << 14) * 4
+
+    def test_two_group_evaluations_reuse_their_buffers(self):
+        """At n = 10 one block's q = 5 rotations (40 KB) outweigh the 16 KB state."""
+        assert evaluation_peak(builtin_instance(), seed=14) < 40_960 + (1 << 10) * 16
+
+    def test_two_group_evaluations_copy_no_level_index(self):
+        """Past the rotations and the 62 levels' phases (5 KB), a copied index would add 8 KB."""
+        assert evaluation_peak(builtin_instance(), seed=15) < 40_960 + 4_960 + (1 << 10) * 4
 
 
 class TestEvolve:
