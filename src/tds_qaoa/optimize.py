@@ -35,9 +35,9 @@ TERMINATION_TOLERANCE = "tolerance_met"
 # Classic Nelder-Mead coefficients: reflection, expansion, contraction, shrink.
 _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 
-# Initial simplex edge relative to the smallest bound-interval width. The
-# expectation landscape over angles is highly oscillatory and the ramp
-# start sits in a narrow resonant basin; a small simplex polishes within
+# Initial simplex edge relative to the smallest positive bound-interval
+# width. The expectation landscape over angles is highly oscillatory and the
+# ramp start sits in a narrow resonant basin; a small simplex polishes within
 # that basin instead of tunneling into all-ones attractors.
 _INITIAL_STEP_FRACTION = 0.02
 
@@ -128,7 +128,7 @@ def minimize(
 
     dim = x0.size
     rng = np.random.default_rng(np.random.SeedSequence([config.seed % (1 << 63), 0x5E]))
-    base_step = _INITIAL_STEP_FRACTION * float(np.min(hi - lo))
+    base_step = _INITIAL_STEP_FRACTION * float(np.min(hi - lo, where=hi > lo, initial=np.inf))
     termination = TERMINATION_BUDGET
 
     try:

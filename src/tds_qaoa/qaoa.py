@@ -183,7 +183,6 @@ def _require_same_size(table: EnergyTable, state: StateVector) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def _group_sizes(n: int) -> tuple[int, ...]:
     """n qubits split into consecutive groups of at most _MIXER_GROUP, sizes as even as possible."""
     groups = -(-n // _MIXER_GROUP)
@@ -333,7 +332,7 @@ class Circuit:
             self._last, self._left = groups.pop(), groups
             self._right = _right_operand(self._last[0])
 
-    def run(self, x) -> np.ndarray:
+    def _run(self, x) -> np.ndarray:
         """The state at angles x = [gammas..., betas...] in the rotation frame, in a buffer."""
         _fill_frame(self._buffers[0], 1, 2.0 ** (-self.table.n_vars / 2.0))
         return self._layers(x)
@@ -342,7 +341,7 @@ class Circuit:
         """The state U(x) start, or U(x)|+> with no start, in a buffer; start enters as start * Phi*.
 
         Every angle must be a finite real, and every cost phase gamma * energy
-        finite (run, the optimizer's path, does not check).
+        finite (_run, the optimizer's path, does not check).
         """
         angles = np.asarray(x, dtype=object).ravel()
         largest = float(max(-self._levels[0], self._levels[-1]))  # the largest |energy|; levels are sorted
@@ -351,7 +350,7 @@ class Circuit:
             if k < angles.size // 2 and not math.isfinite(angle * largest):
                 raise ValueError(f"angle x[{k}] = {angle} times the largest |energy| {largest} is not finite")
         if start is None:
-            psi = self.run(x)
+            psi = self._run(x)
         else:
             psi = self._buffers[0]
             if np.shape(start) != psi.shape:
@@ -419,7 +418,7 @@ class Circuit:
 
         The final Phi of state is skipped: its entries are units, so |Phi z| = |z| exactly.
         """
-        psi = self.run(x)
+        psi = self._run(x)
         probs = self._other(psi).view(np.float64)[: psi.size]
         np.abs(psi, out=probs)
         return np.square(probs, out=probs)

@@ -194,7 +194,7 @@ def _reference_group_views(psi: np.ndarray, scratch: np.ndarray) -> list[tuple]:
 
 
 def reference_layers(table: EnergyTable, x) -> np.ndarray:
-    """Circuit(table).run(x) as the kernel first computed it, with transposed copies.
+    """Circuit(table)._run(x) as the kernel first computed it, with transposed copies.
 
     Each mixer group is one real matmul over the whole state into a scratch
     buffer, then one transposed copy back (see _reference_group_views). The
@@ -490,7 +490,7 @@ def reference_minimize(objective, x0, config: OptimizerConfig) -> OptimizationTr
 
     dim = x0.size
     rng = np.random.default_rng(np.random.SeedSequence([config.seed % (1 << 63), 0x5E]))
-    base_step = _INITIAL_STEP_FRACTION * float(np.min(hi - lo))
+    base_step = _INITIAL_STEP_FRACTION * float(np.min(hi - lo, where=hi > lo, initial=np.inf))
     termination = TERMINATION_BUDGET
 
     try:

@@ -197,6 +197,20 @@ class TestMinimize:
             assert np.sign(step) == direction and 0.005 < abs(step) < 0.035
             _assert_same_trace(trace, reference_minimize(quadratic_1d, [x0], config))
 
+    def test_a_pinned_coordinate_leaves_the_others_free(self):
+        """The initial step is 2% of the smallest positive width: a zero-width interval pins only its own coordinate."""
+        config = OptimizerConfig(200, ((0.0, 1.0), (0.5, 0.5)))
+        trace = minimize(lambda x: float((x[0] - 0.9) ** 2 + x[1] ** 2), [0.5, 0.5], config)
+        assert abs(trace.best_point[0] - 0.9) < 1e-3
+        assert np.all(trace.points[:, 1] == 0.5)
+        assert trace.n_evaluations > 3 and trace.termination_reason == TERMINATION_TOLERANCE
+
+    def test_a_box_of_width_zero_evaluates_only_x0(self):
+        config = OptimizerConfig(50, ((0.5, 0.5), (-1.0, -1.0)))
+        trace = minimize(lambda x: float(np.sum(x**2)), [0.5, -1.0], config)
+        assert trace.points.tolist() == [[0.5, -1.0]] * 3
+        assert trace.termination_reason == TERMINATION_TOLERANCE
+
     def test_every_evaluation_in_bounds(self):
         bounds = ((0.0, 2 * np.pi),) * 2 + ((0.0, np.pi),) * 2
         config = OptimizerConfig(max_iterations=150, bounds=bounds, seed=5)
@@ -352,6 +366,7 @@ class TestAgainstReferenceMinimize:
         (lambda x: float(np.sin(3 * x[0]) + x[1] ** 2), [2.0, 2.0], OptimizerConfig(80, ((-5.0, 5.0),) * 2, seed=3)),
         (lambda x: float(np.sum((x - 0.3) ** 2)), [1.0, -1.0], OptimizerConfig(60, ((-5.0, 5.0),) * 2, seed=9)),
         (lambda x: float(np.sum(np.cos(5 * x))), [1.0, 1.0], OptimizerConfig(60, ((-5.0, 5.0),) * 2, seed=2)),
+        (lambda x: float((x[0] - 0.9) ** 2 + x[1] ** 2), [0.5, 0.5], OptimizerConfig(200, ((0.0, 1.0), (0.5, 0.5)))),
     ])
     def test_test_objectives(self, objective, x0, config):
         _assert_same_trace(minimize(objective, x0, config), reference_minimize(objective, x0, config))

@@ -299,10 +299,10 @@ class TestRotationFrame:
         second = evolve(table, AngleSchedule((2.1,), (1.9,)))
         assert np.array_equal(first.amplitudes, kept)
         assert not np.shares_memory(first.amplitudes, second.amplitudes)
-        # evolve returns the buffer its circuit's run ends in; the other holds the frame.
+        # evolve returns the buffer its circuit's _run ends in; the other holds the frame.
         circuit = Circuit(table)
         for x in ([0.4, 1.2, 0.7, 0.3], [2.1, 1.9]):
-            psi = circuit.run(x)
+            psi = circuit._run(x)
             assert any(psi is buffer for buffer in circuit._buffers)
             assert not np.shares_memory(psi.base, circuit._other(psi).base)
 
@@ -328,7 +328,7 @@ class TestBufferPlacement:
         assert tuple(buffer.ctypes.data % 4096 for buffer in circuit._buffers) == offsets
         for x in rng.uniform(-7.0, 7.0, size=(2, 4)):
             expected = reference_layers(table, x).view(np.float64)
-            assert np.array_equal(circuit.run(x).view(np.float64), expected)
+            assert np.array_equal(circuit._run(x).view(np.float64), expected)
 
 
 class TestCircuitState:
@@ -402,7 +402,7 @@ class TestCircuit:
         circuit = Circuit(table)
         for x in rng.uniform(-7.0, 7.0, size=(2, 2 * q)):
             expected = reference_layers(table, x).view(np.float64)
-            assert np.array_equal(circuit.run(x).view(np.float64), expected)
+            assert np.array_equal(circuit._run(x).view(np.float64), expected)
 
     @pytest.mark.parametrize("x", [[0.1], [0.1, 0.2, 0.3], [], [[0.1, 0.2]]])
     def test_bad_angle_vector_rejected(self, x):
@@ -425,7 +425,7 @@ class TestCircuit:
         table = build_energy_table(compile_tdp_qubo(g, 1.5 * g.n_vertices))
         x = np.random.default_rng(q).uniform(-7.0, 7.0, size=2 * q)
         expected = reference_layers(table, x).view(np.float64)
-        assert np.array_equal(Circuit(table).run(x).view(np.float64), expected)
+        assert np.array_equal(Circuit(table)._run(x).view(np.float64), expected)
 
     def test_evaluation_memory_does_not_grow_with_layers(self):
         """Each block of _LAYER_BLOCK layers builds its own phases and rotations."""
