@@ -136,38 +136,15 @@ def _add_run_flags(parser):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tds-qaoa", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compile = sub.add_parser("compile", help="compile the TDP QUBO and print it as JSON")
-    _add_graph_flag(p_compile)
-    _add_penalty_flags(p_compile)
-    p_compile.add_argument("--out", type=_out_file, default=None, help="write JSON here instead of stdout")
-
-    _add_graph_flag(sub.add_parser("bound", help="print qubit-count quantities"))
-    _add_graph_flag(sub.add_parser("oracle", help="print exact minimum TDS/DS via brute force"))
-
-    p_run = sub.add_parser("run", help="run one QAOA cell and write result files")
-    _add_run_flags(p_run)
-    p_run.add_argument("--out", type=_out_dir, default=None, help="output directory for result files")
-
-    p_trace = sub.add_parser("trace", help="run one QAOA cell and emit the cost trace CSV")
-    _add_run_flags(p_trace)
-    p_trace.add_argument("--out", type=_out_file, default=None, help="write trace CSV here instead of stdout")
-
-    p_sweep = sub.add_parser("sweep", help="run the (q, P, maxiter) parameter grid")
-    _add_graph_flag(p_sweep)
-    p_sweep.add_argument("--q-list", type=int, nargs="+", dest="layer_values", metavar="Q_LIST")
-    p_sweep.add_argument("--P-mult-list", type=float, nargs="+", dest="multiplier_values", metavar="P_MULT_LIST")
-    p_sweep.add_argument("--maxiter-list", type=int, nargs="+", dest="maxiter_values", metavar="MAXITER_LIST")
-    p_sweep.add_argument("--seeds", type=int, dest="n_seeds", metavar="SEEDS", help="replicates per cell")
-    p_sweep.add_argument("--seed", type=int, help="sweep-level base seed")
-    _add_shots_and_ramp_flags(p_sweep)
-    p_sweep.add_argument("--workers", type=int, help="worker processes (default 1)")
-    p_sweep.add_argument("--out", type=_out_dir, default=None, help="output directory for sweep files")
-
-    return parser
+def _add_sweep_flags(parser):
+    _add_graph_flag(parser)
+    parser.add_argument("--q-list", type=int, nargs="+", dest="layer_values", metavar="Q_LIST")
+    parser.add_argument("--P-mult-list", type=float, nargs="+", dest="multiplier_values", metavar="P_MULT_LIST")
+    parser.add_argument("--maxiter-list", type=int, nargs="+", dest="maxiter_values", metavar="MAXITER_LIST")
+    parser.add_argument("--seeds", type=int, dest="n_seeds", metavar="SEEDS", help="replicates per cell")
+    parser.add_argument("--seed", type=int, help="sweep-level base seed")
+    _add_shots_and_ramp_flags(parser)
+    parser.add_argument("--workers", type=int, help="worker processes (default 1)")
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -250,21 +227,40 @@ def _cmd_sweep(args) -> int:
     return EXIT_INTERNAL if errors else EXIT_OK
 
 
-_COMMANDS = {
-    "compile": _cmd_compile,
-    "bound": _cmd_bound,
-    "oracle": _cmd_oracle,
-    "run": _cmd_run,
-    "trace": _cmd_trace,
-    "sweep": _cmd_sweep,
+# Per subcommand: its help, its flag adders, its --out check and help (None: no --out), and its handler.
+_SUBCOMMANDS = {
+    "compile": ("compile the TDP QUBO and print it as JSON", (_add_graph_flag, _add_penalty_flags),
+                (_out_file, "write JSON here instead of stdout"), _cmd_compile),
+    "bound": ("print qubit-count quantities", (_add_graph_flag,), None, _cmd_bound),
+    "oracle": ("print exact minimum TDS/DS via brute force", (_add_graph_flag,), None, _cmd_oracle),
+    "run": ("run one QAOA cell and write result files", (_add_run_flags,),
+            (_out_dir, "output directory for result files"), _cmd_run),
+    "trace": ("run one QAOA cell and emit the cost trace CSV", (_add_run_flags,),
+              (_out_file, "write trace CSV here instead of stdout"), _cmd_trace),
+    "sweep": ("run the (q, P, maxiter) parameter grid", (_add_sweep_flags,),
+              (_out_dir, "output directory for sweep files"), _cmd_sweep),
 }
 
 
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """Every subparser; only those named in argv (all, when argv is None) get flags, as only the named one parses."""
+    parser = _Parser(prog="tds-qaoa", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, adders, out, _) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if argv is None or name in argv:
+            for add in adders:
+                add(subparser)
+            if out:
+                subparser.add_argument("--out", type=out[0], default=None, help=out[1])
+    return parser
+
+
 def cli_entry(argv: list[str] | None = None) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
-    parser = build_parser()
+    """Parse argv (sys.argv[1:] when None) and dispatch; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except _UsageError as exc:
         message, usage = exc.args
         print(f"error: {message}", file=sys.stderr)
@@ -274,7 +270,7 @@ def cli_entry(argv: list[str] | None = None) -> int:
         # argparse exits directly for --help; treat as success
         return EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][-1](args)
     except InfeasibleGraphError as exc:
         print(f"infeasible instance: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -287,4 +283,4 @@ def cli_entry(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_entry(sys.argv[1:]))
+    sys.exit(cli_entry())

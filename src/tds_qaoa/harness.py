@@ -24,7 +24,6 @@ __all__ = [
     "run_sweep",
 ]
 
-import csv
 import itertools
 import json
 import pathlib
@@ -462,6 +461,7 @@ def write_run_outputs(result: RunResult, out_dir) -> None:
 
 def write_sweep_outputs(result: SweepResult, out_dir) -> None:
     """Write rows.csv, summary.csv, and sweep.json into out_dir."""
+    import csv  # Imported here: only sweeps write through it.
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, dicts, fields in (("rows.csv", result.rows, ROW_FIELDS), ("summary.csv", result.summaries, SUMMARY_FIELDS)):

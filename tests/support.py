@@ -11,6 +11,7 @@ with itertools. The package itself builds energies only in build_energy_table.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import csv
 import hashlib
 import io
@@ -555,18 +556,77 @@ def reference_minimize(objective, x0, config: OptimizerConfig) -> OptimizationTr
 GOLDEN_OUTPUTS = pathlib.Path(__file__).with_name("golden_outputs.json")
 
 
-def host_fingerprint() -> str:
-    """numpy's version, the machine and the SIMD targets numpy dispatches to on this CPU.
+# numpy's x86_64 targets that fuse multiply and add (numpy 2 names it X86_V3, numpy 1 FMA3), and
+# the x86_64 OpenBLAS cores whose kernels do: Haswell and later.
+_FMA_TARGETS = {"X86_V3", "FMA3"}
+_FMA_CORES = {"Haswell", "Zen", "SkylakeX", "Cooperlake", "SapphireRapids"}
 
-    Seeded outputs are bit-identical only where all three agree: the GEMM
-    kernels, and so the last bits of every amplitude, follow the SIMD level.
-    """
+# The x86_64 kernel families whose digests tier-1 checks in child processes, by the
+# end of their host_fingerprint: the environment that selects each one on any CPU
+# with FMA. The first is the family of the `avx2` CI entry.
+KERNEL_ENVIRONMENTS = {
+    "numpy-fma openblas-fma": {
+        "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Haswell",
+    },
+    "numpy-no-fma openblas-no-fma": {
+        "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Sandybridge",
+    },
+}
+
+
+def numpy_targets() -> list[str]:
+    """The SIMD targets numpy dispatches to in this process."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
-    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
-    return " ".join([f"numpy-{np.__version__}", platform.machine(), *found])
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+def openblas_core() -> str:
+    """The core whose kernels the OpenBLAS bundled with numpy runs in this process; "" without one."""
+    package = pathlib.Path(np.__file__).parent
+    for library in sorted([*package.parent.glob("numpy.libs/libscipy_openblas*"), *package.glob(".dylibs/libscipy_openblas*")]):
+        corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return ""
+
+
+def host_fingerprint() -> str:
+    """The kernel family of this process: numpy's version, the machine, and whether numpy and OpenBLAS fuse multiply-adds.
+
+    Seeded outputs are bit-identical within a family. Their last bits follow
+    whether the kernels use FMA, not the SIMD width: AVX2 and AVX-512 kernels
+    give the same digests, while turning FMA off in numpy or in OpenBLAS alone
+    changes most of them. Off x86_64 the family is not known, so the
+    fingerprint names every dispatched target and the OpenBLAS core.
+    """
+    targets, core = numpy_targets(), openblas_core()
+    if platform.machine() in ("x86_64", "AMD64"):
+        blas = "fma" if core in _FMA_CORES else "no-fma" if core else "unknown"
+        kernels = [f"numpy-{'fma' if _FMA_TARGETS & set(targets) else 'no-fma'}", f"openblas-{blas}"]
+    else:
+        kernels = [*targets, f"openblas-{core or 'unknown'}"]
+    return " ".join([f"numpy-{np.__version__}", platform.machine(), *kernels])
+
+
+def kernel_mismatch(family: str) -> str:
+    """Why this process does not run the kernels that KERNEL_ENVIRONMENTS[family] selects; "" when it does.
+
+    numpy only warns about a feature name it does not know, so a renamed
+    feature could otherwise turn one family's run into a copy of another's.
+    """
+    found, core = host_fingerprint(), openblas_core()
+    wanted = KERNEL_ENVIRONMENTS[family]["OPENBLAS_CORETYPE"]
+    wide = [name for name in numpy_targets() if name.startswith(("AVX512", "X86_V4"))]
+    if not found.endswith(f" {family}"):
+        return f"{found!r} is not of the family {family!r}"
+    if wide:
+        return f"numpy still dispatches to {' '.join(wide)}"
+    if core != wanted:
+        return f"OpenBLAS runs its {core} kernels, not {wanted}"
+    return ""
 
 
 def cycle14_inputs() -> tuple[str, int]:
@@ -652,13 +712,25 @@ def golden_digests(workdir: pathlib.Path) -> dict[str, str]:
     }
 
 
+def print_golden_digests(family: str) -> None:
+    """Print the golden digests as JSON, once this process is seen to run family's kernels; else exit naming why."""
+    mismatch = kernel_mismatch(family)
+    if mismatch:
+        raise SystemExit(mismatch)
+    with tempfile.TemporaryDirectory() as workdir:
+        run_golden_commands(pathlib.Path(workdir))
+        print(json.dumps(golden_digests(pathlib.Path(workdir))))
+
+
 def write_golden_outputs(path: pathlib.Path = GOLDEN_OUTPUTS) -> None:
-    """Record this host's digests in golden_outputs.json; other hosts' entries stay.
+    """Record the digests of this process's kernel family in golden_outputs.json; other families' entries stay.
 
     Run it from the repository root as
-    `PYTHONPATH=src:tests python -c "import support; support.write_golden_outputs()"`.
-    A change that alters seeded outputs on purpose rewrites the file and
-    drops the entries of hosts it could not rerun.
+    `PYTHONPATH=src:tests python -c "import support; support.write_golden_outputs()"`,
+    once natively (the FMA family on a CPU with FMA) and once with the
+    no-FMA family's KERNEL_ENVIRONMENTS entry set in the environment. A
+    change that alters seeded outputs on purpose rewrites the file and drops
+    the entries of families it could not rerun.
     """
     hosts = json.loads(path.read_text())["hosts"] if path.exists() else {}
     with tempfile.TemporaryDirectory() as workdir:

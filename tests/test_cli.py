@@ -38,6 +38,12 @@ def forbid_work(monkeypatch):
         monkeypatch.setattr(cli, name, no_work_may_start)
 
 
+def subparsers(parser):
+    """The parser's subcommand parsers, by name."""
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
 class TestOracle:
     def test_paper6_instance(self, capsys):
         assert cli_entry(["oracle", "--graph", "builtin:paper6"]) == EXIT_OK
@@ -115,20 +121,24 @@ class TestBound:
 
 
 class TestPackageImport:
-    def test_import_loads_neither_pool_nor_random(self):
-        # Both load lazily: the pool in pooled sweeps, numpy.random on first use.
+    def test_import_loads_no_pool_random_or_csv(self, tmp_path):
+        # All load lazily: the pool in pooled sweeps, numpy.random on first use, csv when a sweep writes.
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys, tds_qaoa, tds_qaoa.cli\n"
-            "print(*sorted(m for m in ('concurrent.futures', 'numpy.random') if m in sys.modules))"
+            "print(*sorted(m for m in ('concurrent.futures', 'csv', 'numpy.random') if m in sys.modules))\n"
+            "tds_qaoa.cli.cli_entry(['run', '--q', '1', '--maxiter', '3', '--out', sys.argv[1]])\n"
+            "print('csv' in sys.modules)"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", code, str(tmp_path)],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        imported, _, after_run = proc.stdout.splitlines()
+        assert imported == ""
+        assert after_run == "False"
 
 
 class TestCompile:
@@ -604,15 +614,47 @@ class TestFlagsSetParameters:
     def test_every_dest_names_a_parameter(self):
         fields = {f.name for f in dataclasses.fields(harness.RunConfig)}
         sweep_parameters = set(inspect.signature(harness.run_sweep).parameters) - {"base"}
-        [subparsers] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-        assert set(subparsers.choices) == {"compile", "bound", "oracle", "run", "trace", "sweep"}
-        for command, parser in subparsers.choices.items():
+        commands = subparsers(cli.build_parser())
+        assert set(commands) == {"compile", "bound", "oracle", "run", "trace", "sweep"}
+        for command, parser in commands.items():
             known = fields | sweep_parameters if command == "sweep" else fields
             for action in parser._actions:
                 if action.dest not in {"help", "command", "out"}:
                     assert action.dest in known, (command, action.option_strings, action.dest)
         for command in ("run", "trace", "compile"):
             assert cli._run_config(cli.build_parser().parse_args([command])) == harness.RunConfig()
+
+
+# A valid command line per subcommand; each --out lies in the working directory.
+VALID_ARGV = {
+    "compile": ["compile", "--graph", "builtin:paper6", "--P-mult", "1.5", "--out", "qubo.json"],
+    "bound": ["bound", "--graph", "builtin:paper6"],
+    "oracle": ["oracle", "--graph", "builtin:paper6"],
+    "run": ["run", "--q", "2", "--P", "9", "--maxiter", "10", "--seed", "3", "--sampled", "--out", "out"],
+    "trace": ["trace", "--graph", "builtin:paper6", "--q", "1", "--objective-shots", "50", "--out", "trace.csv"],
+    "sweep": ["sweep", "--q-list", "2", "5", "--P-mult-list", "1.0", "--seeds", "2", "--workers", "1", "--out", "sweep"],
+}
+
+
+class TestParserForArgv:
+    """build_parser(argv) adds flags only to the subcommand argv names: it prints and parses as build_parser()."""
+
+    @pytest.mark.parametrize("command", VALID_ARGV)
+    def test_help_is_unchanged(self, command):
+        built, full = cli.build_parser(VALID_ARGV[command]), cli.build_parser()
+        assert built.format_help() == full.format_help()
+        assert subparsers(built)[command].format_help() == subparsers(full)[command].format_help()
+
+    @pytest.mark.parametrize("command", VALID_ARGV)
+    def test_namespace_is_unchanged(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv = VALID_ARGV[command]
+        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_other_subcommands_hold_only_help(self):
+        for command, parser in subparsers(cli.build_parser(VALID_ARGV["run"])).items():
+            dests = [action.dest for action in parser._actions]
+            assert (dests == ["help"]) == (command != "run"), (command, dests)
 
 
 class TestUsageErrors:
