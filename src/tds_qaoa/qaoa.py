@@ -332,16 +332,25 @@ class Circuit:
             self._last, self._left = groups.pop(), groups
             self._right = _right_operand(self._last[0])
 
-    def _run(self, x) -> np.ndarray:
-        """The state at angles x = [gammas..., betas...] in the rotation frame, in a buffer."""
-        _fill_frame(self._buffers[0], 1, 2.0 ** (-self.table.n_vars / 2.0))
+    def _run(self, x, start=None) -> np.ndarray:
+        """The state at angles x = [gammas..., betas...] from Phi*|+> or start * Phi*, in the rotation frame."""
+        x = np.asarray(x, dtype=np.float64)  # checked before any write: a refused x leaves both buffers alone
+        if x.ndim != 1 or x.size % 2 or not x.size:
+            raise ValueError(f"parameter vector of shape {x.shape} is not [gammas..., betas...]")
+        if start is None:
+            _fill_frame(self._buffers[0], 1, 2.0 ** (-self.table.n_vars / 2.0))
+        else:
+            # The frame goes where start is not (start may be a state this circuit returned).
+            frame = self._buffers[not np.may_share_memory(start, self._buffers[1])]
+            _fill_frame(frame, 1, 1.0)
+            np.multiply(start, frame, out=self._buffers[0])
         return self._layers(x)
 
     def state(self, x, start=None) -> np.ndarray:
-        """The state U(x) start, or U(x)|+> with no start, in a buffer; start enters as start * Phi*.
+        """The state U(x) start, or U(x)|+> with no start, in a buffer: _run's state times the final Phi.
 
-        Every angle must be a finite real, and every cost phase gamma * energy
-        finite (_run, the optimizer's path, does not check).
+        Every angle must be a finite real and every cost phase gamma * energy finite. _run writes the
+        start and checks only x's shape, before any write; probabilities and expectation skip these checks.
         """
         angles = np.asarray(x, dtype=object).ravel()
         largest = float(max(-self._levels[0], self._levels[-1]))  # the largest |energy|; levels are sorted
@@ -349,18 +358,11 @@ class Circuit:
             angle = require_real(f"angle x[{k}]", angle)
             if k < angles.size // 2 and not math.isfinite(angle * largest):
                 raise ValueError(f"angle x[{k}] = {angle} times the largest |energy| {largest} is not finite")
-        if start is None:
-            psi = self._run(x)
-        else:
-            psi = self._buffers[0]
-            if np.shape(start) != psi.shape:
-                raise ValueError(f"start state of shape {np.shape(start)} is not {psi.shape}")
+        if start is not None:
+            if np.shape(start) != self._buffers[0].shape:
+                raise ValueError(f"start state of shape {np.shape(start)} is not {self._buffers[0].shape}")
             StateVector(self.table.n_vars, start)  # the state rule: numbers with a finite squared norm
-            # The frame goes where start is not (start may be a state this circuit returned).
-            frame = self._buffers[not np.may_share_memory(start, self._buffers[1])]
-            _fill_frame(frame, 1, 1.0)
-            np.multiply(start, frame, out=psi)
-            psi = self._layers(x)
+        psi = self._run(x, start)
         frame = self._other(psi)
         _fill_frame(frame, 3, 1.0)
         return np.multiply(psi, frame, out=psi)
@@ -370,15 +372,12 @@ class Circuit:
         return self._buffers[psi is self._buffers[0]]
 
     def _layers(self, x) -> np.ndarray:
-        """The layers of x on the state in the first buffer; returns the buffer it ends in.
+        """The layers of _run's checked float64 x on the state in the first buffer; returns the buffer it ends in.
 
         Each layer gathers its phases into the free buffer, one per distinct energy
         (one np.exp per _LAYER_BLOCK layers: 64 * 62 at paper6, 64 * 2^n at worst),
         then runs R(beta) as one matmul per qubit group (see _copy_views and _group_views).
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.size % 2 or not x.size:
-            raise ValueError(f"parameter vector of shape {x.shape} is not [gammas..., betas...]")
         q = x.size // 2
         copies = self._copies
         if not copies:

@@ -369,6 +369,26 @@ class TestCircuitState:
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(psi, expected)
 
+    # The held state ends in the first buffer at n = 10, and at n = 14 in the second at q = 1
+    # and in the first at q = 2.
+    @pytest.mark.parametrize("n, q", [(10, 1), (14, 1), (14, 2)])
+    def test_refused_angle_vector_leaves_a_held_state_alone(self, n, q):
+        rng = np.random.default_rng(700 + n + q)
+        circuit = Circuit(random_table(rng, n))
+        psi = circuit.state(rng.uniform(0.0, np.pi, size=2 * q))
+        assert psi is circuit._buffers[0 if n <= 10 else q % 2]
+        kept = psi.copy()
+        start = uniform_state(n).amplitudes
+        for call, args, shape in [
+            (circuit.probabilities, ([0.3],), (1,)),
+            (circuit.expectation, ([],), (0,)),
+            (circuit.state, ([[0.3, 0.4]],), (1, 2)),
+            (circuit.state, ([0.3, 0.4, 0.5], start), (3,)),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"vector of shape {shape} is not [gammas..., betas...]")):
+                call(*args)
+            assert psi.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("x, message", [
         ([float("nan"), 0.5], r"angle x\[0\] must be finite, got nan"),
         ([0.5, float("inf")], r"angle x\[1\] must be finite, got inf"),
